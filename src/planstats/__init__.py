@@ -14,6 +14,7 @@ from .dataio import (
     Manifest,
     QualityDirection,
     RunRecord,
+    RunTable,
     SizeClass,
     load_manifest,
     load_runs,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataio import Category, Level, Manifest, RunRecord, SizeClass
+from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .pairwise import NoProblems, _check_entered
 from .ranking import WORST, RankVector, rank_ascending
 from .stattests import MrcResult, mrc_test
@@ -62,20 +62,13 @@ def judge_ranks(
     if not sets:
         raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
     (ps,) = sets
-    index = {
-        r.problem: r
-        for r in runs
-        if r.planner == planner and r.domain == domain and r.level == level
-    }
-    values = []
-    for problem in ps.problems:
-        rec = index.get(problem)
-        values.append(float(rec.time_ms) if rec is not None and rec.solved else WORST)
-    return rank_ascending(values)
+    runs = RunTable.of(runs)
+    times = [runs.solve_time(planner, domain, level, problem) for problem in ps.problems]
+    return rank_ascending([WORST if t is None else t for t in times])
 
 
 def _eligible_judges(
-    runs: Sequence[RunRecord],
+    runs: RunTable,
     manifest: Manifest,
     domain: str,
     level: Level,
@@ -86,14 +79,9 @@ def _eligible_judges(
     if not sets:
         raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
     (ps,) = sets
-    problems = set(ps.problems)
-    attempted: dict[str, int] = {}
-    for r in runs:
-        if r.domain == domain and r.level == level and r.problem in problems:
-            attempted[r.planner] = attempted.get(r.planner, 0) + 1
     judges, excluded = [], []
     for entry in sorted(manifest.planners_in(category, level), key=lambda p: p.name):
-        n_attempted = attempted.get(entry.name, 0)
+        n_attempted = sum(runs.get(entry.name, domain, level, p) is not None for p in ps.problems)
         if n_attempted == 0:
             continue
         if n_attempted >= MIN_ATTEMPT_FRACTION * len(ps.problems):
@@ -120,6 +108,7 @@ def agreement_test(
     Raises:
         TooFewJudges: with fewer than two eligible judges.
     """
+    runs = RunTable.of(runs)
     judges, excluded = _eligible_judges(runs, manifest, domain, level, size_class, category)
     if len(judges) < 2:
         raise TooFewJudges(
@@ -152,6 +141,7 @@ def agreement_table(
 
     Cells without two eligible judges are skipped.
     """
+    runs = RunTable.of(runs)
     results = []
     for ps in sorted(
         manifest.problem_sets, key=lambda s: (s.size_class.value, s.domain, s.level.value)

@@ -25,6 +25,7 @@ from .dataio import (
     DataError,
     Level,
     Manifest,
+    RunTable,
     SizeClass,
     load_manifest,
     load_runs,
@@ -85,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cross", action="store_true", help="compare across planner categories")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when degenerate statistics occur")
-    common.add_argument("--workers", type=int, default=1, help="bootstrap worker threads")
 
     parser = argparse.ArgumentParser(
         prog="planstats",
@@ -238,8 +238,12 @@ def cmd_order(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
             if len(names) < 2 or not manifest.sets_at(level=level, size_class=size):
                 continue
             for measure in _measures_for(args, level):
-                alo, dh, _ = _pair_results(runs, manifest, names, level, measure, size)
-                order = build_order(alo + dh, alpha=config.alpha_pairwise)
+                results = [
+                    compare(runs, manifest, a, b, level, measure, mode, size)
+                    for mode in (PairingMode.AT_LEAST_ONE, PairingMode.DOUBLE_HITS)
+                    for a, b in all_pairs(names)
+                ]
+                order = build_order(results, alpha=config.alpha_pairwise)
                 if args.reduce:
                     order = transitive_reduction(order)
                 extra = {
@@ -270,7 +274,6 @@ def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int
                 m=config.bootstrap_m,
                 cutoff_ms=config.cutoff_ms,
                 seed=config.seed,
-                workers=args.workers,
             )
         extra = {"category": args.category, "size": size.value}
         header = metadata_lines(config, dataset_hash, "hardness", extra)
@@ -316,7 +319,6 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
             m=config.bootstrap_m,
             cutoff_ms=config.cutoff_ms,
             seed=config.seed,
-            workers=args.workers,
         )
         for level in _levels_for(args, manifest, category):
             verdicts = table.by_planner(level)
@@ -391,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        runs = load_runs(args.runs)
+        runs = RunTable(load_runs(args.runs))
         manifest = load_manifest(args.manifest)
     except (DataError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -126,6 +126,40 @@ class RunRecord:
         return (self.planner, self.domain, self.level, self.problem)
 
 
+class RunTable(tuple):
+    """The run records in their order, indexed once by (planner, domain, level, problem).
+
+    The analyses look records up here instead of scanning them.  Where a
+    key repeats, the last record with it wins.
+    """
+
+    def __init__(self, records: Iterable[RunRecord]):
+        # tuple.__new__ has already stored ``records`` in self
+        self._by_key: dict[tuple[str, str, Level, str], RunRecord] = {}
+        planners: dict[tuple[str, Level], set[str]] = {}
+        for r in self:
+            self._by_key[r.key] = r
+            planners.setdefault((r.domain, r.level), set()).add(r.planner)
+        self._planners = {cell: frozenset(names) for cell, names in planners.items()}
+
+    @classmethod
+    def of(cls, runs: Sequence[RunRecord]) -> "RunTable":
+        """``runs`` itself if it is a table, else a table over it."""
+        return runs if isinstance(runs, RunTable) else cls(runs)
+
+    def get(self, planner: str, domain: str, level: Level, problem: str) -> RunRecord | None:
+        return self._by_key.get((planner, domain, level, problem))
+
+    def solve_time(self, planner: str, domain: str, level: Level, problem: str) -> float | None:
+        """Solve time in ms, or None when the problem is unsolved or unattempted."""
+        rec = self._by_key.get((planner, domain, level, problem))
+        return float(rec.time_ms) if rec is not None and rec.solved else None
+
+    def planners_at(self, domain: str, level: Level) -> frozenset[str]:
+        """Planners with any record at (domain, level)."""
+        return self._planners.get((domain, level), frozenset())
+
+
 @dataclass(frozen=True)
 class PlannerEntry:
     name: str

@@ -8,20 +8,18 @@ level (level-specific) or across all levels (level-independent); areas in
 the bottom/top 2.5% tails classify the cell as significantly Easy/Hard.
 
 Determinism contract: every bootstrap sample draws from its own Philox
-stream keyed (seed, sample index), so results are bit-identical for any
-worker count.
+stream keyed (seed, sample index), so a seed fixes every sample.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import Category, Level, Manifest, RunRecord, SizeClass
+from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .ranking import EmptyInput
 
 DEFAULT_CUTOFF_MS = 30 * 60 * 1000  # thirty minutes
@@ -174,15 +172,8 @@ def subject_area(
     if not sets:
         raise EmptyPool(f"no {size_class.value} problem set for {domain}/{level.value}")
     (ps,) = sets
-    index = {
-        (r.domain, r.problem): r
-        for r in runs
-        if r.planner == planner and r.level == level
-    }
-    times = []
-    for problem in ps.problems:
-        rec = index.get((domain, problem))
-        times.append(float(rec.time_ms) if rec is not None and rec.solved else None)
+    runs = RunTable.of(runs)
+    times = [runs.solve_time(planner, domain, level, problem) for problem in ps.problems]
     return DifficultyArea(
         planner=planner,
         domain=domain,
@@ -209,7 +200,7 @@ def _pool_timings(
     the cutoff (unsolved).
     """
     sets = manifest.sets_at(level=pool_kind.level, size_class=size_class)
-    index = {r.key: r for r in runs}
+    runs = RunTable.of(runs)
     per_problem: list[np.ndarray] = []
     for ps in sets:
         eligible = [p.name for p in manifest.planners_in(category, ps.level)]
@@ -218,11 +209,8 @@ def _pool_timings(
         for problem in ps.problems:
             values = np.empty(len(eligible), dtype=np.float64)
             for i, name in enumerate(eligible):
-                rec = index.get((name, ps.domain, ps.level, problem))
-                if rec is not None and rec.solved:
-                    values[i] = min(float(rec.time_ms), float(cutoff_ms))
-                else:
-                    values[i] = float(cutoff_ms)
+                t = runs.solve_time(name, ps.domain, ps.level, problem)
+                values[i] = float(cutoff_ms) if t is None else min(t, float(cutoff_ms))
             per_problem.append(values)
     return per_problem
 
@@ -253,7 +241,6 @@ def bootstrap_distribution(
     m: int = DEFAULT_M,
     cutoff_ms: int = DEFAULT_CUTOFF_MS,
     seed: int = 0,
-    workers: int = 1,
 ) -> BootstrapDistribution:
     """Bootstrap distribution of difficulty areas for a pool.
 
@@ -262,7 +249,7 @@ def bootstrap_distribution(
     planner uniformly among the category planners that entered its level;
     that planner's cutoff-clamped time (missing record counts as
     unsolved) contributes to the sample's area.  Bit-identical for a
-    given seed regardless of ``workers``.
+    given seed.
 
     Raises:
         EmptyPool: if the pool has no problems visible to the category.
@@ -276,19 +263,7 @@ def bootstrap_distribution(
         raise EmptyPool(
             f"no problems for category {category.value} in pool {pool_kind.label}/{size_class.value}"
         )
-    if workers <= 1:
-        areas = [_sample_area(i, seed, per_problem, m) for i in range(B)]
-    else:
-        areas = [0.0] * B
-        chunk = (B + workers - 1) // workers
-        ranges = [range(start, min(start + chunk, B)) for start in range(0, B, chunk)]
-
-        def fill(indices: range) -> None:
-            for i in indices:
-                areas[i] = _sample_area(i, seed, per_problem, m)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ranges))
+    areas = [_sample_area(i, seed, per_problem, m) for i in range(B)]
     return BootstrapDistribution(
         pool_kind=pool_kind,
         category=category,
@@ -354,7 +329,6 @@ def hardness_table(
     m: int = DEFAULT_M,
     cutoff_ms: int = DEFAULT_CUTOFF_MS,
     seed: int = 0,
-    workers: int = 1,
 ) -> HardnessTable:
     """Classify every (planner, domain, level) subject for a category.
 
@@ -363,11 +337,7 @@ def hardness_table(
     shared.  Subjects are the category planners that entered the level
     and produced at least one record in the cell.
     """
-    index: dict[tuple[str, str, Level], int] = {}
-    for r in runs:
-        key = (r.planner, r.domain, r.level)
-        index[key] = index.get(key, 0) + 1
-
+    runs = RunTable.of(runs)
     dists: dict[str, BootstrapDistribution] = {}
 
     def dist_for(level: Level) -> BootstrapDistribution | None:
@@ -384,7 +354,6 @@ def hardness_table(
                     m=m,
                     cutoff_ms=cutoff_ms,
                     seed=seed,
-                    workers=workers,
                 )
             except EmptyPool:
                 return None
@@ -396,7 +365,7 @@ def hardness_table(
     ):
         planners = manifest.planners_in(category, ps.level)
         for entry in sorted(planners, key=lambda p: p.name):
-            if index.get((entry.name, ps.domain, ps.level), 0) == 0:
+            if entry.name not in runs.planners_at(ps.domain, ps.level):
                 continue
             dist = dist_for(ps.level)
             if dist is None:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataio import Level, Manifest, QualityDirection, RunRecord, SizeClass
+from .dataio import Level, Manifest, QualityDirection, RunRecord, RunTable, SizeClass
 from .distributions import DomainError
 from .ranking import WORST, is_worst
 from .stattests import (
@@ -110,10 +110,6 @@ class MagnitudeResult:
     direction: QualityDirection
 
 
-def _index_runs(runs: Sequence[RunRecord]) -> dict[tuple, RunRecord]:
-    return {r.key: r for r in runs}
-
-
 def _measure_value(
     record: RunRecord | None,
     measure: Measure,
@@ -178,12 +174,12 @@ def build_pairs(
     sets = manifest.sets_at(level=level, size_class=size_class)
     if not sets:
         raise NoProblems(f"no {size_class.value} problem sets at level {level.value}")
-    index = _index_runs(runs)
+    runs = RunTable.of(runs)
     pairs = []
     for ps in sets:
         for problem in ps.problems:
-            rec_a = index.get((a, ps.domain, level, problem))
-            rec_b = index.get((b, ps.domain, level, problem))
+            rec_a = runs.get(a, ps.domain, level, problem)
+            rec_b = runs.get(b, ps.domain, level, problem)
             solved_a = rec_a is not None and rec_a.solved
             solved_b = rec_b is not None and rec_b.solved
             if not (solved_a or solved_b):

@@ -22,6 +22,7 @@ from .dataio import (
     Manifest,
     QualityDirection,
     RunRecord,
+    RunTable,
     SizeClass,
 )
 from .hardness import HardnessTable, RNG_NAME
@@ -556,9 +557,12 @@ def series_csv(
     if not sets:
         raise UnknownCell(f"no {size_class.value} problem set for {domain}/{level.value}")
     (ps,) = sets
-    cell_runs = [r for r in runs if r.domain == domain and r.level == level]
-    planners = sorted({r.planner for r in cell_runs if r.problem in set(ps.problems)})
-    index = {(r.planner, r.problem): r for r in cell_runs}
+    runs = RunTable.of(runs)
+    planners = sorted(
+        p
+        for p in runs.planners_at(domain, level)
+        if any(runs.get(p, domain, level, problem) is not None for problem in ps.problems)
+    )
 
     def value(rec: RunRecord | None) -> str:
         if rec is None or not rec.solved:
@@ -582,7 +586,7 @@ def series_csv(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["problem"] + planners)
     for problem in ps.problems:
-        writer.writerow([problem] + [value(index.get((p, problem))) for p in planners])
+        writer.writerow([problem] + [value(runs.get(p, domain, level, problem)) for p in planners])
     return out.getvalue()
 
 

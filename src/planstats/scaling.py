@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .agreement import judge_ranks
-from .dataio import Category, Level, Manifest, RunRecord, SizeClass
+from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict
 from .ranking import RankVector, rank_ascending
 from .stattests import SpearmanResult, spearman_test
@@ -97,6 +97,7 @@ def difficulty_ranking(
     if not domains:
         raise EmptyDomainList("difficulty_ranking needs at least one domain")
     judges = [p.name for p in manifest.planners_in(category, level)]
+    runs = RunTable.of(runs)
     scores: list[float] = []
     for domain in domains:
         per_judge = [
@@ -109,12 +110,10 @@ def difficulty_ranking(
 
 
 def _clamped_time(
-    index: Mapping[tuple, RunRecord], planner: str, domain: str, level: Level, problem: str, cutoff_ms: int
+    runs: RunTable, planner: str, domain: str, level: Level, problem: str, cutoff_ms: int
 ) -> float:
-    rec = index.get((planner, domain, level, problem))
-    if rec is None or not rec.solved:
-        return float(cutoff_ms)
-    return min(float(rec.time_ms), float(cutoff_ms))
+    t = runs.solve_time(planner, domain, level, problem)
+    return float(cutoff_ms) if t is None else min(t, float(cutoff_ms))
 
 
 def scaling_comparison(
@@ -176,9 +175,9 @@ def scaling_comparison(
             reason=IncomparableReason.INSUFFICIENT_AGREEMENT,
         )
     problems = pooled_problems(manifest, level, domains, size_class)
-    index = {r.key: r for r in runs}
-    times_a = [_clamped_time(index, a, d, level, p, cutoff_ms) for d, p in problems]
-    times_b = [_clamped_time(index, b, d, level, p, cutoff_ms) for d, p in problems]
+    runs = RunTable.of(runs)
+    times_a = [_clamped_time(runs, a, d, level, p, cutoff_ms) for d, p in problems]
+    times_b = [_clamped_time(runs, b, d, level, p, cutoff_ms) for d, p in problems]
     if require_rank_agreement:
         own = spearman_test(rank_ascending(times_a), rank_ascending(times_b))
         # agreement means significant positive correlation (z < 0)
