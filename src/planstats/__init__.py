@@ -33,7 +33,13 @@ from .hardness import (
     hardness_table,
 )
 from .agreement import AgreementResult, agreement_table, agreement_test, judge_ranks
-from .scaling import ScalingResult, Verdict, eligible_domains, scaling_comparison
+from .scaling import (
+    ScalingResult,
+    Verdict,
+    agreed_difficulty,
+    eligible_domains,
+    scaling_comparison,
+)
 from .ranking import WORST, RankVector, rank_ascending
 from .stattests import (
     mrc_test,

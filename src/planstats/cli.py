@@ -175,6 +175,20 @@ def _measures_for(args, level: Level) -> list[Measure]:
     return [Measure.SPEED, Measure.QUALITY_METRIC]
 
 
+def _hardness_table(runs, manifest, category, size, config, level_specific):
+    return hardness_mod.hardness_table(
+        runs,
+        manifest,
+        category,
+        level_specific_pools=level_specific,
+        size_class=size,
+        B=config.bootstrap_B,
+        m=config.bootstrap_m,
+        cutoff_ms=config.cutoff_ms,
+        seed=config.seed,
+    )
+
+
 def _pair_results(runs, manifest, names, level, measure, size):
     alo, dh, mags = [], [], []
     for a, b in all_pairs(names):
@@ -262,19 +276,10 @@ def cmd_order(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
 def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
-        tables = {}
-        for level_specific in (True, False):
-            tables[level_specific] = hardness_mod.hardness_table(
-                runs,
-                manifest,
-                category,
-                level_specific_pools=level_specific,
-                size_class=size,
-                B=config.bootstrap_B,
-                m=config.bootstrap_m,
-                cutoff_ms=config.cutoff_ms,
-                seed=config.seed,
-            )
+        tables = {
+            specific: _hardness_table(runs, manifest, category, size, config, specific)
+            for specific in (True, False)
+        }
         extra = {"category": args.category, "size": size.value}
         header = metadata_lines(config, dataset_hash, "hardness", extra)
         text = render_hardness_text(tables[True], tables[False])
@@ -309,22 +314,13 @@ def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> in
 def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
-        table = hardness_mod.hardness_table(
-            runs,
-            manifest,
-            category,
-            level_specific_pools=True,
-            size_class=size,
-            B=config.bootstrap_B,
-            m=config.bootstrap_m,
-            cutoff_ms=config.cutoff_ms,
-            seed=config.seed,
-        )
+        table = _hardness_table(runs, manifest, category, size, config, level_specific=True)
         for level in _levels_for(args, manifest, category):
             verdicts = table.by_planner(level)
-            names = sorted(p.name for p in manifest.planners_in(category, level))
+            names = _pair_names(manifest, category, level, False)
             if len(names) < 2:
                 continue
+            difficulty = scaling_mod.agreed_difficulty(runs, manifest, level, category, size)
             results = [
                 scaling_mod.scaling_comparison(
                     runs,
@@ -333,7 +329,7 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
                     b,
                     level,
                     verdicts,
-                    category,
+                    difficulty,
                     size_class=size,
                     cutoff_ms=config.cutoff_ms,
                     alpha=config.alpha_scaling,

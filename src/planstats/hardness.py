@@ -53,10 +53,6 @@ class PoolKind:
     level: Level | None = None
 
     @property
-    def is_level_specific(self) -> bool:
-        return self.level is not None
-
-    @property
     def label(self) -> str:
         return self.level.value if self.level is not None else "independent"
 
@@ -138,6 +134,12 @@ class HardnessTable:
         return out
 
 
+def clamped_time(t: float | None, cutoff_ms: int) -> float:
+    """A time as the difficulty area counts it: unsolved (None) pays the cutoff,
+    solved times are clamped at it."""
+    return float(cutoff_ms) if t is None else min(float(t), float(cutoff_ms))
+
+
 def difficulty_area(times: Sequence[float | None], cutoff_ms: int) -> float:
     """Sum of cutoff-clamped solve times; None (unsolved) pays the cutoff.
 
@@ -152,7 +154,7 @@ def difficulty_area(times: Sequence[float | None], cutoff_ms: int) -> float:
         raise ValueError(f"cutoff_ms must be positive, got {cutoff_ms}")
     if len(times) == 0:
         raise EmptyInput("difficulty_area needs at least one time")
-    return float(sum(cutoff_ms if t is None else min(float(t), float(cutoff_ms)) for t in times))
+    return float(sum(clamped_time(t, cutoff_ms) for t in times))
 
 
 def subject_area(
@@ -207,11 +209,8 @@ def _pool_timings(
         if not eligible:
             continue
         for problem in ps.problems:
-            values = np.empty(len(eligible), dtype=np.float64)
-            for i, name in enumerate(eligible):
-                t = runs.solve_time(name, ps.domain, ps.level, problem)
-                values[i] = float(cutoff_ms) if t is None else min(t, float(cutoff_ms))
-            per_problem.append(values)
+            times = [runs.solve_time(name, ps.domain, ps.level, problem) for name in eligible]
+            per_problem.append(np.array([clamped_time(t, cutoff_ms) for t in times]))
     return per_problem
 
 

@@ -253,14 +253,13 @@ def _dot_id(name: str) -> str:
     return f'"{escaped}"'
 
 
-def to_dot(order: PartialOrder, graph_name: str | None = None) -> str:
+def to_dot(order: PartialOrder) -> str:
     """Serialize an order as a DOT digraph (byte-deterministic).
 
     Edge styles map directly to the edge kinds; labels carry the p-value
     that earned the edge.
     """
-    name = graph_name or f"{order.level.value}_{order.measure.value}"
-    lines = [f'digraph "{name}" {{']
+    lines = [f'digraph "{order.level.value}_{order.measure.value}" {{']
     for node in order.nodes:
         lines.append(f"  {_dot_id(node)};")
     for e in order.edges:

@@ -180,6 +180,13 @@ def comparison_cell(result: ComparisonResult, alpha: float) -> tuple[str, str]:
     return title, cell
 
 
+def _write_columns(out: io.StringIO, rows: Sequence[Sequence[str]]) -> None:
+    """Write rows as left-aligned columns two spaces apart, trailing blanks cut."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n")
+
+
 def render_compare_text(
     alo: Sequence[ComparisonResult],
     dh: Sequence[ComparisonResult],
@@ -195,10 +202,7 @@ def render_compare_text(
         for r in results:
             title, cell = comparison_cell(r, alpha)
             rows.append((title, cell, str(r.n)))
-        widths = [max(len(row[i]) for row in rows) for i in range(3)]
-        for row in rows:
-            out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-            out.write("\n")
+        _write_columns(out, rows)
         out.write(f"'*' indicates a result less than {alpha:g}; "
                   "bold (**) marks results not significant at that level;\n"
                   "bracketed values are the win-proportion fallback test.\n\n")
@@ -223,10 +227,7 @@ def render_compare_text(
         if m.direction is QualityDirection.MAXIMIZE:
             means += " (maximize: larger mean is better)"
         rows.append((f"{m.planner_a}-{m.planner_b}", means, cell, p_text))
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    for row in rows:
-        out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        out.write("\n")
+    _write_columns(out, rows)
     out.write(f"'*' indicates a result less than {alpha_magnitude:g}; a mean below 1 is the "
               "smaller-valued side.\n")
     return out.getvalue()
@@ -356,10 +357,7 @@ def render_hardness_text(specific: HardnessTable, independent: HardnessTable) ->
                 cell = counts.get((domain, lv))
                 row.append("-" if cell is None else f"{cell[0]}/{cell[1]}")
             rows.append(row)
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        for row in rows:
-            out.write("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-            out.write("\n")
+        _write_columns(out, rows)
         out.write("\n")
 
     out.write("== per-planner extremes (percentile <= 0.05 or >= 0.95) ==\n")
@@ -450,10 +448,7 @@ def render_agreement_text(results: Sequence[AgreementResult]) -> str:
                     cell = f"**{cell}**"
                 row.append(cell)
             rows.append(row)
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        for row in rows:
-            out.write("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-            out.write("\n")
+        _write_columns(out, rows)
         out.write("bold (**) marks cells without significant agreement.\n\n")
     return out.getvalue()
 
@@ -513,10 +508,7 @@ def render_scaling_text(results: Sequence[ScalingResult], level: Level) -> str:
             winner = r.planner_a if r.verdict is Verdict.A_SCALES_BETTER else r.planner_b
             row.append(symbol if winner == row_planner else "")
         rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    for row in rows:
-        out.write("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-        out.write("\n")
+    _write_columns(out, rows)
     out.write("x: no shared track; o: insufficient agreement; 0: no significant difference.\n")
     return out.getvalue()
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .agreement import judge_ranks
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
-from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict
+from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict, clamped_time
 from .ranking import RankVector, rank_ascending
 from .stattests import SpearmanResult, spearman_test
 
@@ -77,6 +77,36 @@ def pooled_problems(
     return out
 
 
+def agreed_difficulty(
+    runs: Sequence[RunRecord],
+    manifest: Manifest,
+    level: Level,
+    category: Category,
+    size_class: SizeClass = SizeClass.SMALL,
+) -> dict[str, list[float]]:
+    """Agreed difficulty score of every problem at a level, keyed by domain.
+
+    One entry per problem set at (level, size class), in the set's
+    problem order; a problem's score is the mean of its judge ranks across
+    the category's planners that entered the level.  The scores belong to
+    the level, so compute them once and pass them to every
+    :func:`scaling_comparison` there.
+    """
+    judges = [p.name for p in manifest.planners_in(category, level)]
+    runs = RunTable.of(runs)
+    scores: dict[str, list[float]] = {}
+    for ps in manifest.sets_at(level=level, size_class=size_class):
+        per_judge = [judge_ranks(runs, manifest, j, ps.domain, level, size_class) for j in judges]
+        scores[ps.domain] = [sum(ranks) / len(judges) for ranks in zip(*per_judge)]
+    return scores
+
+
+def _pooled_ranking(
+    difficulty: Mapping[str, Sequence[float]], domains: Sequence[str]
+) -> RankVector:
+    return rank_ascending([score for domain in domains for score in difficulty[domain]])
+
+
 def difficulty_ranking(
     runs: Sequence[RunRecord],
     manifest: Manifest,
@@ -87,33 +117,16 @@ def difficulty_ranking(
 ) -> RankVector:
     """Agreed difficulty ranking of the pooled problems at a level.
 
-    Each problem's difficulty score is the mean of its judge ranks across
-    the category's planners that entered the level; the pooled problems
-    (in :func:`pooled_problems` order) are then ranked ascending by score.
+    The pooled problems (in :func:`pooled_problems` order) ranked
+    ascending by their :func:`agreed_difficulty` scores.
 
     Raises:
         EmptyDomainList: if no domains are given.
     """
     if not domains:
         raise EmptyDomainList("difficulty_ranking needs at least one domain")
-    judges = [p.name for p in manifest.planners_in(category, level)]
-    runs = RunTable.of(runs)
-    scores: list[float] = []
-    for domain in domains:
-        per_judge = [
-            list(judge_ranks(runs, manifest, j, domain, level, size_class)) for j in judges
-        ]
-        k = len(per_judge[0])
-        for i in range(k):
-            scores.append(sum(ranks[i] for ranks in per_judge) / len(per_judge))
-    return rank_ascending(scores)
-
-
-def _clamped_time(
-    runs: RunTable, planner: str, domain: str, level: Level, problem: str, cutoff_ms: int
-) -> float:
-    t = runs.solve_time(planner, domain, level, problem)
-    return float(cutoff_ms) if t is None else min(t, float(cutoff_ms))
+    difficulty = agreed_difficulty(runs, manifest, level, category, size_class)
+    return _pooled_ranking(difficulty, domains)
 
 
 def scaling_comparison(
@@ -123,27 +136,27 @@ def scaling_comparison(
     b: str,
     level: Level,
     hardness: Mapping[str, Mapping[str, HardnessVerdict]],
-    category: Category,
+    difficulty: Mapping[str, Sequence[float]],
     size_class: SizeClass = SizeClass.SMALL,
     cutoff_ms: int = DEFAULT_CUTOFF_MS,
     alpha: float = DEFAULT_ALPHA,
-    require_rank_agreement: bool = False,
 ) -> ScalingResult:
     """Relative scaling verdict for a pair of planners at a level.
 
-    ``hardness`` maps planner -> domain -> HardnessVerdict at this level.
+    ``hardness`` maps planner -> domain -> HardnessVerdict at this level;
+    ``difficulty`` is the level's :func:`agreed_difficulty`.
     Ineligibility is a result, not an error: planners without a shared
     track are Incomparable(NO_SHARED_TRACK) and pairs agreeing in fewer
     than two domains are Incomparable(INSUFFICIENT_AGREEMENT).  Otherwise
     the per-problem differences (time_a - time_b, unsolved paying the
-    cutoff) are ranked and correlated with the agreed difficulty ranking;
-    a correlation showing a's cost growing faster yields
-    B_SCALES_BETTER and vice versa.
-
-    With ``require_rank_agreement`` the pair must additionally show a
-    significant positive correlation between their own problem rankings,
-    else the result is Incomparable(INSUFFICIENT_AGREEMENT).
+    cutoff) are ranked and correlated with the agreed difficulty ranking
+    of the pooled problems; a correlation showing a's cost growing faster
+    yields B_SCALES_BETTER and vice versa.
     """
+
+    def result(domains, reason, n=0, spearman=None, verdict=Verdict.INCOMPARABLE):
+        return ScalingResult(a, b, level, tuple(domains), n, spearman, verdict, reason)
+
     entry_a = manifest.planner(a)
     entry_b = manifest.planner(b)
     if (
@@ -152,62 +165,22 @@ def scaling_comparison(
         or level not in entry_a.levels_entered
         or level not in entry_b.levels_entered
     ):
-        return ScalingResult(
-            planner_a=a,
-            planner_b=b,
-            level=level,
-            eligible_domains=(),
-            n=0,
-            spearman=None,
-            verdict=Verdict.INCOMPARABLE,
-            reason=IncomparableReason.NO_SHARED_TRACK,
-        )
+        return result((), IncomparableReason.NO_SHARED_TRACK)
     domains = eligible_domains(hardness.get(a, {}), hardness.get(b, {}))
     if len(domains) < MIN_AGREED_DOMAINS:
-        return ScalingResult(
-            planner_a=a,
-            planner_b=b,
-            level=level,
-            eligible_domains=tuple(domains),
-            n=0,
-            spearman=None,
-            verdict=Verdict.INCOMPARABLE,
-            reason=IncomparableReason.INSUFFICIENT_AGREEMENT,
-        )
+        return result(domains, IncomparableReason.INSUFFICIENT_AGREEMENT)
     problems = pooled_problems(manifest, level, domains, size_class)
     runs = RunTable.of(runs)
-    times_a = [_clamped_time(runs, a, d, level, p, cutoff_ms) for d, p in problems]
-    times_b = [_clamped_time(runs, b, d, level, p, cutoff_ms) for d, p in problems]
-    if require_rank_agreement:
-        own = spearman_test(rank_ascending(times_a), rank_ascending(times_b))
-        # agreement means significant positive correlation (z < 0)
-        if not (own.p_two_sided <= alpha and own.z < 0):
-            return ScalingResult(
-                planner_a=a,
-                planner_b=b,
-                level=level,
-                eligible_domains=tuple(domains),
-                n=len(problems),
-                spearman=None,
-                verdict=Verdict.INCOMPARABLE,
-                reason=IncomparableReason.INSUFFICIENT_AGREEMENT,
-            )
-    difficulty = difficulty_ranking(runs, manifest, level, domains, category, size_class)
-    differences = [ta - tb for ta, tb in zip(times_a, times_b)]
-    result = spearman_test(difficulty, rank_ascending(differences))
-    if result.p_two_sided <= alpha and result.z != 0.0:
+    differences = [
+        clamped_time(runs.solve_time(a, d, level, p), cutoff_ms)
+        - clamped_time(runs.solve_time(b, d, level, p), cutoff_ms)
+        for d, p in problems
+    ]
+    spearman = spearman_test(_pooled_ranking(difficulty, domains), rank_ascending(differences))
+    if spearman.p_two_sided <= alpha and spearman.z != 0.0:
         # z = -rho*sqrt(n-1): positive rho (z < 0) means (a - b) grows
         # with difficulty, i.e. b scales better
-        verdict = Verdict.B_SCALES_BETTER if result.z < 0 else Verdict.A_SCALES_BETTER
+        verdict = Verdict.B_SCALES_BETTER if spearman.z < 0 else Verdict.A_SCALES_BETTER
     else:
         verdict = Verdict.NO_DIFFERENCE
-    return ScalingResult(
-        planner_a=a,
-        planner_b=b,
-        level=level,
-        eligible_domains=tuple(domains),
-        n=len(problems),
-        spearman=result,
-        verdict=verdict,
-        reason=None,
-    )
+    return result(domains, None, len(problems), spearman, verdict)

@@ -28,7 +28,12 @@ from planstats.hardness import (
 from planstats.ordering import EdgeKind, build_order
 from planstats.pairwise import Measure, PairingMode, compare
 from planstats.ranking import rank_ascending
-from planstats.scaling import IncomparableReason, Verdict, scaling_comparison
+from planstats.scaling import (
+    IncomparableReason,
+    Verdict,
+    agreed_difficulty,
+    scaling_comparison,
+)
 from planstats.report import scaling_symbol
 from planstats.stattests import (
     mrc_test,
@@ -270,16 +275,17 @@ def test_scaling_gate_and_verdict():
         "a": {"d1": verdict("a", "d1", Classification.NEITHER)},
         "b": {"d1": verdict("b", "d1", Classification.NEITHER)},
     }
-    gated = scaling_comparison(runs, manifest, "a", "b", Level.STRIPS, one_domain, AUTO)
+    difficulty = agreed_difficulty(runs, manifest, Level.STRIPS, AUTO)
+    gated = scaling_comparison(runs, manifest, "a", "b", Level.STRIPS, one_domain, difficulty)
     assert gated.verdict is Verdict.INCOMPARABLE
     assert gated.reason is IncomparableReason.INSUFFICIENT_AGREEMENT
     assert scaling_symbol(gated) == "o"
     # two agreed domains: constant planner beats the degrading one
     agreed = neither_verdicts(["a", "b"])
-    open_result = scaling_comparison(runs, manifest, "a", "b", Level.STRIPS, agreed, AUTO)
+    open_result = scaling_comparison(runs, manifest, "a", "b", Level.STRIPS, agreed, difficulty)
     assert open_result.verdict is Verdict.A_SCALES_BETTER
     assert open_result.spearman.z > 0
-    mirrored = scaling_comparison(runs, manifest, "b", "a", Level.STRIPS, agreed, AUTO)
+    mirrored = scaling_comparison(runs, manifest, "b", "a", Level.STRIPS, agreed, difficulty)
     assert mirrored.verdict is Verdict.B_SCALES_BETTER
 
 

@@ -12,20 +12,24 @@ from planstats.dataio import Category, Level, load_manifest, read_runs
 from planstats.hardness import hardness_table
 from planstats.pairwise import Measure, PairingMode, all_pairs, compare
 from planstats.report import series_csv
+from planstats.scaling import agreed_difficulty, scaling_comparison
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
 HEADER, *ROWS = (SAMPLE / "runs.csv").read_text(encoding="utf-8").splitlines(keepends=True)
 MANIFEST = load_manifest(SAMPLE / "manifest.json")
 AUTO = Category.FULLY_AUTOMATED
 PLANNERS = [p.name for p in MANIFEST.planners]
+LEVELS = (Level.STRIPS, Level.NUMERIC)
 
 
 def analyses(runs):
+    specific = hardness_table(runs, MANIFEST, AUTO, level_specific_pools=True, B=40, seed=5)
+    difficulty = {level: agreed_difficulty(runs, MANIFEST, level, AUTO) for level in LEVELS}
     return (
         [
             compare(runs, MANIFEST, a, b, level, measure, mode)
             for a, b in all_pairs(PLANNERS)
-            for level in (Level.STRIPS, Level.NUMERIC)
+            for level in LEVELS
             for measure in (Measure.SPEED, Measure.QUALITY_SEQ, Measure.QUALITY_METRIC)
             for mode in PairingMode
         ],
@@ -40,8 +44,16 @@ def analyses(runs):
             for ps in MANIFEST.problem_sets
             for measure in Measure
         ],
-        hardness_table(runs, MANIFEST, AUTO, level_specific_pools=True, B=40, seed=5),
+        specific,
         hardness_table(runs, MANIFEST, AUTO, level_specific_pools=False, B=40, seed=5),
+        difficulty,
+        [
+            scaling_comparison(
+                runs, MANIFEST, a, b, level, specific.by_planner(level), difficulty[level]
+            )
+            for a, b in all_pairs(PLANNERS)
+            for level in LEVELS
+        ],
     )
 
 

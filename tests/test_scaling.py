@@ -8,6 +8,7 @@ from planstats.scaling import (
     EmptyDomainList,
     IncomparableReason,
     Verdict,
+    agreed_difficulty,
     difficulty_ranking,
     eligible_domains,
     pooled_problems,
@@ -128,14 +129,16 @@ class TestScalingComparison:
             {"a": ["strips"], "b": ["numeric"]},
             [pset("d1", "strips", 3), pset("d1", "numeric", 3, prefix="n")],
         )
-        r = scaling_comparison([], manifest, "a", "b", STRIPS, {}, AUTO)
+        difficulty = agreed_difficulty([], manifest, STRIPS, AUTO)
+        r = scaling_comparison([], manifest, "a", "b", STRIPS, {}, difficulty)
         assert r.verdict is Verdict.INCOMPARABLE
         assert r.reason is IncomparableReason.NO_SHARED_TRACK
 
     def test_gate_requires_two_agreed_domains(self):
         runs, manifest = two_domain_dataset(lambda i: 100, lambda i: 100 * i)
         verdicts = neither_verdicts(["a", "b"], domains=("d1",))
-        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, AUTO)
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty)
         assert r.verdict is Verdict.INCOMPARABLE
         assert r.reason is IncomparableReason.INSUFFICIENT_AGREEMENT
         assert r.spearman is None
@@ -143,7 +146,8 @@ class TestScalingComparison:
     def test_constant_vs_degrading(self):
         runs, manifest = two_domain_dataset(lambda i: 1000, lambda i: 100 * i)
         verdicts = neither_verdicts(["a", "b"])
-        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, AUTO)
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty)
         assert r.n == 40
         assert r.verdict is Verdict.A_SCALES_BETTER
         assert r.spearman.z > 0  # differences a-b shrink as problems harden
@@ -162,8 +166,9 @@ class TestScalingComparison:
                 runs.append(run("a", d, "strips", f"p{i:02d}", 1000))
                 runs.append(run("b", d, "strips", f"p{i:02d}", 100 * i + offset))
         verdicts = neither_verdicts(["a", "b"])
-        ab = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, AUTO)
-        ba = scaling_comparison(runs, manifest, "b", "a", STRIPS, verdicts, AUTO)
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        ab = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty)
+        ba = scaling_comparison(runs, manifest, "b", "a", STRIPS, verdicts, difficulty)
         assert ba.spearman.z == pytest.approx(-ab.spearman.z)
         assert ab.verdict is Verdict.A_SCALES_BETTER
         assert ba.verdict is Verdict.B_SCALES_BETTER
@@ -171,7 +176,8 @@ class TestScalingComparison:
     def test_identical_planners_no_difference(self):
         runs, manifest = two_domain_dataset(lambda i: 10 * i, lambda i: 10 * i)
         verdicts = neither_verdicts(["a", "b"])
-        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, AUTO)
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty)
         assert r.verdict is Verdict.NO_DIFFERENCE
 
     def test_unsolved_pays_cutoff(self):
@@ -187,7 +193,8 @@ class TestScalingComparison:
                 t_b = 20 * i if i <= 6 else None
                 runs.append(run("b", d, "strips", f"p{i:02d}", t_b))
         verdicts = neither_verdicts(["a", "b"])
-        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, AUTO,
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        r = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty,
                                cutoff_ms=1_000_000)
         assert r.verdict is Verdict.A_SCALES_BETTER
 
@@ -195,11 +202,8 @@ class TestScalingComparison:
         # b's own difficulty ordering is the reverse of a's: no agreement
         runs, manifest = two_domain_dataset(lambda i: 10 * i, lambda i: 10 * (21 - i))
         verdicts = neither_verdicts(["a", "b"])
-        gated = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, AUTO,
-                                   require_rank_agreement=True)
-        assert gated.verdict is Verdict.INCOMPARABLE
-        assert gated.reason is IncomparableReason.INSUFFICIENT_AGREEMENT
-        ungated = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, AUTO)
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        ungated = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty)
         assert ungated.verdict is not Verdict.INCOMPARABLE
 
     def test_pooled_problem_order(self):
