@@ -20,7 +20,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -182,12 +182,25 @@ class Manifest:
 
     planners: tuple[PlannerEntry, ...]
     problem_sets: tuple[ProblemSet, ...]
+    # lookup indexes; where a name or problem repeats, the first entry wins
+    _by_name: dict[str, PlannerEntry] = field(init=False, repr=False, compare=False)
+    _by_problem: dict[tuple[str, Level, str], ProblemSet] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        by_name: dict[str, PlannerEntry] = {}
+        for p in self.planners:
+            by_name.setdefault(p.name, p)
+        by_problem: dict[tuple[str, Level, str], ProblemSet] = {}
+        for s in self.problem_sets:
+            for problem in s.problems:
+                by_problem.setdefault((s.domain, s.level, problem), s)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_problem", by_problem)
 
     def planner(self, name: str) -> PlannerEntry | None:
-        for p in self.planners:
-            if p.name == name:
-                return p
-        return None
+        return self._by_name.get(name)
 
     def planners_in(self, category: Category, level: Level | None = None) -> list[PlannerEntry]:
         out = [p for p in self.planners if p.category == category]
@@ -212,10 +225,7 @@ class Manifest:
 
     def resolve(self, domain: str, level: Level, problem: str) -> ProblemSet | None:
         """The unique problem set containing (domain, level, problem), if any."""
-        for s in self.problem_sets:
-            if s.domain == domain and s.level == level and problem in s.problems:
-                return s
-        return None
+        return self._by_problem.get((domain, level, problem))
 
     def levels(self) -> list[Level]:
         seen = []

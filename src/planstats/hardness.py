@@ -8,13 +8,19 @@ level (level-specific) or across all levels (level-independent); areas in
 the bottom/top 2.5% tails classify the cell as significantly Easy/Hard.
 
 Determinism contract: every bootstrap sample draws from its own Philox
-stream keyed (seed, sample index), so a seed fixes every sample.
+stream keyed (seed, sample index), so a seed fixes every sample.  The
+streams are computed counter-based in numpy, a chunk of samples at a
+time: Philox4x64-10 is a pure function of (key, counter) (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), and the words and
+bounded draws are laid out exactly as ``np.random.Generator(Philox(key))``
+lays them out, so ``RNG_NAME`` and every sample are what the scalar
+sampler ``_sample_area`` gives.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +36,13 @@ HARD_TAIL = 0.975
 RNG_NAME = "numpy-philox (key = seed, sample-index)"
 
 _UINT64_MASK = (1 << 64) - 1
+_UINT32_MASK = np.uint64((1 << 32) - 1)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Samples computed together; bounds the sampler's arrays whatever B is.
+_CHUNK = 1024
 
 
 class EmptyPool(ValueError):
@@ -90,6 +103,11 @@ class BootstrapDistribution:
     cutoff_ms: int
     seed: int
     rng: str = RNG_NAME
+    # the samples in ascending order, for percentile lookups
+    _ordered: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_ordered", np.sort(np.array(self.samples, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -230,6 +248,81 @@ def _sample_area(
     return area
 
 
+def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64 bits of the 128-bit product multiplier * x, built from
+    32-bit halves so that no partial product overflows."""
+    m_lo, m_hi = np.uint64(multiplier & 0xFFFFFFFF), np.uint64(multiplier >> 32)
+    x_lo, x_hi = x & _UINT32_MASK, x >> _SHIFT32
+    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    mid = (ll >> _SHIFT32) + (lh & _UINT32_MASK) + (hl & _UINT32_MASK)
+    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return x * np.uint64(multiplier), hi
+
+
+def _philox_words(seed: int, sample_index: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The first 8 * n_blocks 32-bit words of each sample's Philox stream.
+
+    Row r holds what ``np.random.Philox(key=[seed, sample_index[r]])`` yields
+    to 32-bit draws: blocks at counters 1, 2, ..., each of four 64-bit words,
+    each word low half first.  The words are returned as uint64.
+    """
+    key1 = sample_index.astype(np.uint64)[:, None]
+    c0 = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        # the first round uses the key itself, each later one bumps it once more
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _UINT64_MASK)
+        k1 = key1 + np.uint64((r * _PHILOX_W[1]) & _UINT64_MASK)
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    halves = np.stack((words & _UINT32_MASK, words >> _SHIFT32), axis=-1)
+    return halves.reshape(len(sample_index), 8 * n_blocks)
+
+
+def _sample_areas(seed: int, per_problem: list[np.ndarray], m: int, B: int) -> np.ndarray:
+    """``[_sample_area(i, seed, per_problem, m) for i in range(B)]``, computed
+    a chunk of samples at a time.
+
+    The draws follow ``Generator.integers``: m problem draws, then one
+    planner draw per drawn problem, each a Lemire reduction (u * n) >> 32 of
+    one 32-bit word; a draw over a single value consumes no word.  Samples
+    with a rejected draw are rare and are recomputed by ``_sample_area``.
+    Each area adds its m times left to right, as the scalar sampler does.
+    """
+    n_problems = len(per_problem)
+    lens = np.array([len(t) for t in per_problem], dtype=np.uint64)
+    starts = np.concatenate(([0], np.cumsum(lens[:-1]))).astype(np.intp)
+    flat = np.concatenate(per_problem)
+    # numpy rejects a word when (u * n) mod 2**32 < (2**32 - n) mod n
+    thresholds = (np.uint64(1 << 32) - lens) % lens
+    problem_threshold = np.uint64(((1 << 32) - n_problems) % n_problems)
+    problem_words = m if n_problems > 1 else 0
+    n_blocks = -(-(problem_words + m) // 8)
+    areas = np.empty(B)
+    for start in range(0, B, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, B), dtype=np.uint64)
+        words = _philox_words(seed, index, n_blocks)
+        scaled = words[:, :m] * np.uint64(n_problems)
+        drawn = (scaled >> _SHIFT32).astype(np.intp)
+        rejected = ((scaled & _UINT32_MASK) < problem_threshold).any(axis=1)
+        n_planners = lens[drawn]
+        consumes = n_planners > 1
+        position = problem_words + np.cumsum(consumes, axis=1) - consumes
+        scaled = np.take_along_axis(words, position, axis=1) * n_planners
+        planner = (scaled >> _SHIFT32).astype(np.intp)
+        rejected |= ((scaled & _UINT32_MASK) < thresholds[drawn]).any(axis=1)
+        values = flat[starts[drawn] + planner]
+        area = areas[start : start + len(index)]
+        area[:] = 0.0
+        for column in values.T:  # not np.sum: its pairwise order rounds differently
+            area += column
+        for k in np.flatnonzero(rejected):
+            area[k] = _sample_area(start + int(k), seed, per_problem, m)
+    return areas
+
+
 def bootstrap_distribution(
     runs: Sequence[RunRecord],
     manifest: Manifest,
@@ -262,12 +355,12 @@ def bootstrap_distribution(
         raise EmptyPool(
             f"no problems for category {category.value} in pool {pool_kind.label}/{size_class.value}"
         )
-    areas = [_sample_area(i, seed, per_problem, m) for i in range(B)]
+    areas = _sample_areas(seed, per_problem, m, B)
     return BootstrapDistribution(
         pool_kind=pool_kind,
         category=category,
         size_class=size_class,
-        samples=tuple(areas),
+        samples=tuple(areas.tolist()),
         B=B,
         m=m,
         cutoff_ms=cutoff_ms,
@@ -277,9 +370,14 @@ def bootstrap_distribution(
 
 def percentile_of(area: float, samples: Sequence[float]) -> float:
     """Mid-p percentile of an area within a sample set (ties count half)."""
-    below = sum(1 for s in samples if s < area)
-    equal = sum(1 for s in samples if s == area)
-    return (below + 0.5 * equal) / len(samples)
+    return _sorted_percentile(area, np.sort(np.array(samples, dtype=float)))
+
+
+def _sorted_percentile(area: float, ordered: np.ndarray) -> float:
+    """``percentile_of`` over samples already in ascending order."""
+    below = int(np.searchsorted(ordered, area, side="left"))
+    not_above = int(np.searchsorted(ordered, area, side="right"))
+    return (below + 0.5 * (not_above - below)) / len(ordered)
 
 
 def classify(subject: DifficultyArea, dist: BootstrapDistribution) -> HardnessVerdict:
@@ -297,7 +395,7 @@ def classify(subject: DifficultyArea, dist: BootstrapDistribution) -> HardnessVe
     area = subject.area_ms
     if subject.n_problems != dist.m:
         area = area * (dist.m / subject.n_problems)
-    pct = percentile_of(area, dist.samples)
+    pct = _sorted_percentile(area, dist._ordered)
     if pct <= EASY_TAIL:
         classification = Classification.EASY
     elif pct >= HARD_TAIL:

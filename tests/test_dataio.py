@@ -12,6 +12,7 @@ from planstats.dataio import (
     DuplicateProblem,
     EmptyProblemList,
     Level,
+    Manifest,
     MissingHeader,
     ParseError,
     RunRecord,
@@ -246,6 +247,15 @@ class TestManifest:
         assert manifest.resolve("d", Level.STRIPS, "L01").size_class.value == "large"
         assert manifest.resolve("d", Level.STRIPS, "zzz") is None
 
+    def test_lookups_indexed_outside_eq_and_repr(self):
+        manifest = simple_manifest({"a": ["strips"], "b": ["numeric"]}, [pset("d", "strips", 2)])
+        assert manifest.planner("b") is manifest.planners[1]
+        assert manifest.planner("zz") is None
+        assert manifest.resolve("d", Level.NUMERIC, "p01") is None
+        twin = Manifest(planners=manifest.planners, problem_sets=manifest.problem_sets)
+        assert twin == manifest and hash(twin) == hash(manifest)
+        assert "_by" not in repr(manifest)
+
 
 class TestValidateDataset:
     def _manifest(self):
@@ -271,6 +281,25 @@ class TestValidateDataset:
         )
         diags = validate_dataset([run("a", "d", "numeric", "n01", 5)], manifest)
         assert any(d.kind == "LevelNotEntered" for d in diags)
+
+    def test_diagnostics_in_record_order(self):
+        manifest = simple_manifest(
+            {"a": ["strips"]}, [pset("d", "strips", 2), pset("d", "numeric", 2, prefix="n")]
+        )
+        runs = [
+            run("a", "d", "numeric", "n01", 5),
+            run("zz", "d", "strips", "p01", 5),
+            run("a", "d", "strips", "p99", 5),
+            run("a", "d", "numeric", "p99", 5),
+        ]
+        kinds = [d.kind for d in validate_dataset(runs, manifest) if d.severity == "error"]
+        assert kinds == [
+            "LevelNotEntered",
+            "UnknownPlanner",
+            "UnknownProblem",
+            "UnknownProblem",
+            "LevelNotEntered",
+        ]
 
     def test_coverage_note_is_informational(self):
         manifest = self._manifest()

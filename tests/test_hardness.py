@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pset, run, simple_manifest
@@ -20,6 +20,7 @@ from planstats.hardness import (
     percentile_of,
     subject_area,
 )
+from planstats.hardness import _CHUNK, _philox_words, _sample_area, _sample_areas
 from planstats.ranking import EmptyInput
 
 AUTO = Category.FULLY_AUTOMATED
@@ -178,6 +179,56 @@ class TestBootstrap:
                                    level_specific(Level.STRIPS), B=10, seed=1)
 
 
+class TestCounterBasedSampler:
+    """The numpy sampler against numpy's own Philox and the scalar sampler.
+
+    These guard against numpy changing its (undocumented) Philox stream
+    layout or Lemire reduction under the vectorised sampler.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_philox_words_match_numpy(self, seed):
+        index = np.array([0, 1, 7, 1023, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
+        words = _philox_words(seed, index, 3)
+        for row, i in zip(words, index):
+            key = np.array([seed, i], dtype=np.uint64)
+            raw = np.random.Philox(key=key).random_raw(12)
+            halves = np.stack((raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)), axis=-1)
+            assert row.tolist() == halves.reshape(-1).tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pool=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 1_800_000).map(float),
+                    st.floats(0, 1_800_000, allow_nan=False, allow_infinity=False),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        m=st.sampled_from([1, 3, 20, 22]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(pool=[[0.1]], m=3, seed=0)  # a one-problem, one-planner pool draws nothing
+    @example(pool=[[0.1, 0.7, 1e6 / 3]], m=22, seed=2**64 - 1)
+    def test_areas_match_scalar_sampler(self, pool, m, seed):
+        per_problem = [np.array(times) for times in pool]
+        B = _CHUNK + 5  # crosses a chunk boundary
+        areas = _sample_areas(seed, per_problem, m, B)
+        assert areas.tolist() == [_sample_area(i, seed, per_problem, m) for i in range(B)]
+
+    def test_rejected_draw_falls_back_to_scalar(self):
+        # Sample 25039 hits a Lemire rejection on its 19th problem draw
+        # (4100 problems), which only the scalar fallback gets right.
+        per_problem = [np.array([k, k + 0.5]) for k in range(4100)]
+        areas = _sample_areas(1, per_problem, 20, 25040)
+        assert areas[25039] == _sample_area(25039, 1, per_problem, 20) == 46024.0
+
+
 def make_dist(samples, m=20):
     return BootstrapDistribution(
         pool_kind=level_specific(Level.STRIPS),
@@ -242,6 +293,23 @@ class TestClassify:
 
     def test_percentile_mid_tie(self):
         assert percentile_of(5.0, [1.0, 5.0, 9.0]) == pytest.approx(0.5)
+
+    @given(
+        st.lists(st.integers(0, 20).map(float), min_size=1, max_size=60),
+        st.integers(-1, 21).map(float),
+    )
+    def test_percentile_matches_scan(self, samples, area):
+        below = sum(1 for s in samples if s < area)
+        equal = sum(1 for s in samples if s == area)
+        expected = (below + 0.5 * equal) / len(samples)
+        assert percentile_of(area, samples) == expected
+        assert classify(make_subject(area), make_dist(samples)).percentile == expected
+
+    def test_distribution_keeps_draw_order(self):
+        dist = make_dist([3.0, 1.0, 2.0])
+        assert dist.samples == (3.0, 1.0, 2.0)
+        assert dist == make_dist([3.0, 1.0, 2.0])
+        assert "_ordered" not in repr(dist)
 
 
 class TestSubjectArea:
