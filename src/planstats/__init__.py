@@ -40,7 +40,7 @@ from .scaling import (
     eligible_domains,
     scaling_comparison,
 )
-from .ranking import WORST, RankVector, rank_ascending
+from .ranking import WORST, rank_ascending
 from .stattests import (
     mrc_test,
     paired_t_normalized,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .pairwise import NoProblems, _check_entered
-from .ranking import WORST, RankVector, rank_ascending
+from .ranking import WORST, rank_ascending
 from .stattests import MrcResult, mrc_test
 
 # judges must have attempted at least this share of a cell's problems;
@@ -47,7 +47,7 @@ def judge_ranks(
     domain: str,
     level: Level,
     size_class: SizeClass = SizeClass.SMALL,
-) -> RankVector:
+) -> tuple[float, ...]:
     """One planner's difficulty ranking of a problem set by solve time.
 
     Unsolved and unattempted problems map to WORST and tie at the top
@@ -114,9 +114,7 @@ def agreement_test(
         raise TooFewJudges(
             f"{domain}/{level.value}/{size_class.value}: {len(judges)} eligible judges"
         )
-    matrix = [
-        tuple(judge_ranks(runs, manifest, j, domain, level, size_class)) for j in judges
-    ]
+    matrix = [judge_ranks(runs, manifest, j, domain, level, size_class) for j in judges]
     result = mrc_test(matrix)
     return AgreementResult(
         domain=domain,

@@ -29,6 +29,7 @@ from .dataio import (
     SizeClass,
     load_manifest,
     load_runs,
+    sizes_faced,
     validate_dataset,
 )
 from .ordering import build_order, transitive_reduction
@@ -67,6 +68,8 @@ MEASURES = {
 }
 CATEGORIES = {"auto": Category.FULLY_AUTOMATED, "hand": Category.HAND_CODED}
 SIZES = {"small": SizeClass.SMALL, "large": SizeClass.LARGE}
+# the config field --alpha sets; other commands set alpha_pairwise
+ALPHA_FIELDS = {"agreement": "alpha_agreement", "scaling": "alpha_scaling"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,14 +115,7 @@ def _make_config(args: argparse.Namespace) -> ReportConfig:
     if args.out is not None:
         config.output_dir = Path(args.out)
     if args.alpha is not None:
-        if args.command in ("compare", "order"):
-            config.alpha_pairwise = args.alpha
-        elif args.command == "agreement":
-            config.alpha_agreement = args.alpha
-        elif args.command == "scaling":
-            config.alpha_scaling = args.alpha
-        else:
-            config.alpha_pairwise = args.alpha
+        setattr(config, ALPHA_FIELDS.get(args.command, "alpha_pairwise"), args.alpha)
     config.validate()
     return config
 
@@ -131,11 +127,28 @@ def _dataset_hash(runs_path: str, manifest_path: str) -> str:
     return digest.hexdigest()
 
 
+def _stem(command: str, extra: dict[str, str]) -> str:
+    """An output's file name without suffix: the command, then the cell's
+    values in the order ``extra`` lists them."""
+    return "_".join([command, *extra.values()])
+
+
 def _write(config: ReportConfig, name: str, text: str) -> Path:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _write_table(config, dataset_hash, command, extra, text, rows) -> list[str]:
+    """Write a cell's text table and its CSV mirror under one metadata
+    header, echo the text to stdout, and return the header."""
+    header = metadata_lines(config, dataset_hash, command, extra)
+    stem = _stem(command, extra)
+    _write(config, f"{stem}.txt", "\n".join(header) + "\n\n" + text)
+    _write(config, f"{stem}.csv", csv_text(rows, header))
+    print(text)
+    return header
 
 
 def _levels_for(
@@ -150,13 +163,8 @@ def _levels_for(
     return levels
 
 
-def _sizes_for(args, category: Category) -> list[SizeClass]:
-    if args.size:
-        return [SIZES[args.size]]
-    # hand-coded planners face both the small and the large collections
-    if category is Category.HAND_CODED:
-        return [SizeClass.SMALL, SizeClass.LARGE]
-    return [SizeClass.SMALL]
+def _sizes_for(args, category: Category) -> tuple[SizeClass, ...]:
+    return (SIZES[args.size],) if args.size else sizes_faced(category)
 
 
 def _pair_names(manifest: Manifest, category: Category, level: Level, cross: bool) -> list[str]:
@@ -189,6 +197,25 @@ def _hardness_table(runs, manifest, category, size, config, level_specific):
     )
 
 
+def _pair_cells(args, manifest: Manifest):
+    """Every compare/order cell with at least two planners and a problem
+    set: yields (names, level, measure, size, extra)."""
+    category = CATEGORIES[args.category]
+    for level in _levels_for(args, manifest, category, args.cross):
+        names = _pair_names(manifest, category, level, args.cross)
+        for size in _sizes_for(args, category):
+            if len(names) < 2 or not manifest.sets_at(level=level, size_class=size):
+                continue
+            for measure in _measures_for(args, level):
+                extra = {
+                    "category": "cross" if args.cross else args.category,
+                    "level": level.value,
+                    "measure": measure.value,
+                    "size": size.value,
+                }
+                yield names, level, measure, size, extra
+
+
 def _pair_results(runs, manifest, names, level, measure, size):
     alo, dh, mags = [], [], []
     for a, b in all_pairs(names):
@@ -211,87 +238,46 @@ def cmd_validate(args, config, runs, manifest, diagnostics, dataset_hash) -> int
 
 
 def cmd_compare(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
-    category = CATEGORIES[args.category]
-    suffix = "cross" if args.cross else args.category
-    for level in _levels_for(args, manifest, category, args.cross):
-        for size in _sizes_for(args, category):
-            names = _pair_names(manifest, category, level, args.cross)
-            if len(names) < 2 or not manifest.sets_at(level=level, size_class=size):
-                continue
-            for measure in _measures_for(args, level):
-                alo, dh, mags = _pair_results(runs, manifest, names, level, measure, size)
-                extra = {
-                    "category": suffix,
-                    "level": level.value,
-                    "measure": measure.value,
-                    "size": size.value,
-                }
-                header = metadata_lines(config, dataset_hash, "compare", extra)
-                text = render_compare_text(
-                    alo, dh, mags, config.alpha_pairwise, config.alpha_magnitude
-                )
-                stem = f"compare_{suffix}_{level.value}_{measure.value}_{size.value}"
-                _write(config, f"{stem}.txt", "\n".join(header) + "\n\n" + text)
-                _write(config, f"{stem}.csv", csv_text(comparisons_csv_rows(alo + dh), header))
-                _write(
-                    config,
-                    f"magnitude_{suffix}_{level.value}_{measure.value}_{size.value}.csv",
-                    csv_text(magnitudes_csv_rows([m for m in mags if m is not None]), header),
-                )
-                print(f"-- {level.value}/{measure.value}/{size.value} --")
-                print(text)
+    for names, level, measure, size, extra in _pair_cells(args, manifest):
+        alo, dh, mags = _pair_results(runs, manifest, names, level, measure, size)
+        text = render_compare_text(alo, dh, mags, config.alpha_pairwise, config.alpha_magnitude)
+        print(f"-- {level.value}/{measure.value}/{size.value} --")
+        header = _write_table(
+            config, dataset_hash, "compare", extra, text, comparisons_csv_rows(alo + dh)
+        )
+        mag_rows = magnitudes_csv_rows([m for m in mags if m is not None])
+        _write(config, f"{_stem('magnitude', extra)}.csv", csv_text(mag_rows, header))
     return 0
 
 
 def cmd_order(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
-    category = CATEGORIES[args.category]
-    suffix = "cross" if args.cross else args.category
-    for level in _levels_for(args, manifest, category, args.cross):
-        for size in _sizes_for(args, category):
-            names = _pair_names(manifest, category, level, args.cross)
-            if len(names) < 2 or not manifest.sets_at(level=level, size_class=size):
-                continue
-            for measure in _measures_for(args, level):
-                results = [
-                    compare(runs, manifest, a, b, level, measure, mode, size)
-                    for mode in (PairingMode.AT_LEAST_ONE, PairingMode.DOUBLE_HITS)
-                    for a, b in all_pairs(names)
-                ]
-                order = build_order(results, alpha=config.alpha_pairwise)
-                if args.reduce:
-                    order = transitive_reduction(order)
-                extra = {
-                    "category": suffix,
-                    "level": level.value,
-                    "measure": measure.value,
-                    "size": size.value,
-                }
-                header = metadata_lines(config, dataset_hash, "order", extra, comment="//")
-                stem = f"order_{suffix}_{level.value}_{measure.value}_{size.value}"
-                path = _write(config, f"{stem}.dot", dot_with_metadata(order, header))
-                print(f"wrote {path} ({len(order.edges)} edges)")
+    for names, level, measure, size, extra in _pair_cells(args, manifest):
+        results = [
+            compare(runs, manifest, a, b, level, measure, mode, size)
+            for mode in (PairingMode.AT_LEAST_ONE, PairingMode.DOUBLE_HITS)
+            for a, b in all_pairs(names)
+        ]
+        order = build_order(results, alpha=config.alpha_pairwise)
+        if args.reduce:
+            order = transitive_reduction(order)
+        header = metadata_lines(config, dataset_hash, "order", extra, comment="//")
+        path = _write(config, f"{_stem('order', extra)}.dot", dot_with_metadata(order, header))
+        print(f"wrote {path} ({len(order.edges)} edges)")
     return 0
 
 
 def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
-        tables = {
-            specific: _hardness_table(runs, manifest, category, size, config, specific)
+        # the level-specific table, then the level-independent one
+        tables = [
+            _hardness_table(runs, manifest, category, size, config, specific)
             for specific in (True, False)
-        }
+        ]
         extra = {"category": args.category, "size": size.value}
-        header = metadata_lines(config, dataset_hash, "hardness", extra)
-        text = render_hardness_text(tables[True], tables[False])
-        _write(config, f"hardness_{args.category}_{size.value}.txt",
-               "\n".join(header) + "\n\n" + text)
-        _write(
-            config,
-            f"hardness_{args.category}_{size.value}.csv",
-            csv_text(hardness_csv_rows([tables[True], tables[False]]), header),
-        )
         print(f"-- {size.value} problems --")
-        print(text)
+        text = render_hardness_text(*tables)
+        _write_table(config, dataset_hash, "hardness", extra, text, hardness_csv_rows(tables))
     return 0
 
 
@@ -303,11 +289,8 @@ def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> in
     if args.level:
         results = [r for r in results if r.level is Level.parse(args.level)]
     extra = {"category": args.category}
-    header = metadata_lines(config, dataset_hash, "agreement", extra)
     text = render_agreement_text(results)
-    _write(config, f"agreement_{args.category}.txt", "\n".join(header) + "\n\n" + text)
-    _write(config, f"agreement_{args.category}.csv", csv_text(agreement_csv_rows(results), header))
-    print(text)
+    _write_table(config, dataset_hash, "agreement", extra, text, agreement_csv_rows(results))
     return 0
 
 
@@ -337,12 +320,8 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
                 for a, b in all_pairs(names)
             ]
             extra = {"category": args.category, "level": level.value, "size": size.value}
-            header = metadata_lines(config, dataset_hash, "scaling", extra)
             text = render_scaling_text(results, level)
-            stem = f"scaling_{args.category}_{level.value}_{size.value}"
-            _write(config, f"{stem}.txt", "\n".join(header) + "\n\n" + text)
-            _write(config, f"{stem}.csv", csv_text(scaling_csv_rows(results), header))
-            print(text)
+            _write_table(config, dataset_hash, "scaling", extra, text, scaling_csv_rows(results))
     return 0
 
 
@@ -365,7 +344,7 @@ def cmd_series(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     except UnknownCell as exc:
         print(f"series: {exc}", file=sys.stderr)
         return 2
-    path = _write(config, f"series_{args.domain}_{level.value}_{measure.value}_{size.value}.csv", text)
+    path = _write(config, f"{_stem('series', extra)}.csv", text)
     print(f"wrote {path}")
     return 0
 

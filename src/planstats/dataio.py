@@ -107,6 +107,14 @@ class QualityDirection(enum.Enum):
     MAXIMIZE = "maximize"
 
 
+def sizes_faced(category: Category) -> tuple[SizeClass, ...]:
+    """The problem size classes a category's planners face: hand-coded
+    planners face the small and the large collections, the rest the small."""
+    if category is Category.HAND_CODED:
+        return (SizeClass.SMALL, SizeClass.LARGE)
+    return (SizeClass.SMALL,)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One planner's result on one problem instance."""
@@ -464,6 +472,7 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
     (missing (planner, problem) cells are legal: they mean "did not
     attempt" and are reported informationally).
     """
+    runs = RunTable.of(runs)
     diagnostics: list[Diagnostic] = []
     for record in runs:
         entry = manifest.planner(record.planner)
@@ -495,31 +504,19 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
                 )
             )
 
-    attempted: dict[str, set[tuple[str, Level, str]]] = {}
-    solved: dict[str, set[tuple[str, Level, str]]] = {}
-    for record in runs:
-        attempted.setdefault(record.planner, set()).add(
-            (record.domain, record.level, record.problem)
-        )
-        if record.solved:
-            solved.setdefault(record.planner, set()).add(
-                (record.domain, record.level, record.problem)
-            )
     for entry in manifest.planners:
-        # hand-coded planners additionally face the large collections
-        sizes = (
-            (SizeClass.SMALL, SizeClass.LARGE)
-            if entry.category == Category.HAND_CODED
-            else (SizeClass.SMALL,)
-        )
-        available = set()
-        for ps in manifest.problem_sets:
-            if ps.level in entry.levels_entered and ps.size_class in sizes:
-                available.update((ps.domain, ps.level, p) for p in ps.problems)
+        sizes = sizes_faced(entry.category)
+        available = {
+            (ps.domain, ps.level, p)
+            for ps in manifest.problem_sets
+            if ps.level in entry.levels_entered and ps.size_class in sizes
+            for p in ps.problems
+        }
         if not available:
             continue
-        n_attempted = len(attempted.get(entry.name, set()) & available)
-        n_solved = len(solved.get(entry.name, set()) & available)
+        records = [runs.get(entry.name, *key) for key in available]
+        n_attempted = sum(r is not None for r in records)
+        n_solved = sum(r is not None and r.solved for r in records)
         diagnostics.append(
             Diagnostic(
                 "Coverage",

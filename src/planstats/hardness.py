@@ -129,7 +129,6 @@ class HardnessTable:
 
     category: Category
     size_class: SizeClass
-    pool_label: str
     verdicts: tuple[HardnessVerdict, ...]
 
     def cell_counts(self) -> dict[tuple[str, Level], tuple[int, int]]:
@@ -471,10 +470,8 @@ def hardness_table(
                 runs, manifest, entry.name, ps.domain, ps.level, size_class, cutoff_ms
             )
             verdicts.append(classify(subject, dist))
-    pool_label = "level-specific" if level_specific_pools else "level-independent"
     return HardnessTable(
         category=category,
         size_class=size_class,
-        pool_label=pool_label,
         verdicts=tuple(verdicts),
     )

@@ -58,6 +58,15 @@ class Measure(enum.Enum):
     QUALITY_CONC = "conc"
 
 
+# the run-record field each measure reads
+MEASURE_FIELDS = {
+    Measure.SPEED: "time_ms",
+    Measure.QUALITY_METRIC: "metric_value",
+    Measure.QUALITY_SEQ: "seq_length",
+    Measure.QUALITY_CONC: "conc_length",
+}
+
+
 @dataclass(frozen=True)
 class ComparisonResult:
     """Outcome of the consistency tests for one planner pair and measure."""
@@ -119,14 +128,7 @@ def _measure_value(
     """The record's value under a measure, or WORST if unavailable."""
     if record is None or not record.solved:
         return WORST
-    if measure is Measure.SPEED:
-        return float(record.time_ms)
-    if measure is Measure.QUALITY_SEQ:
-        field = record.seq_length
-    elif measure is Measure.QUALITY_CONC:
-        field = record.conc_length
-    else:
-        field = record.metric_value
+    field = getattr(record, MEASURE_FIELDS[measure])
     if field is None:
         return WORST
     value = float(field)

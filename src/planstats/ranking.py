@@ -9,7 +9,6 @@ to the top end of the ranking and tie with each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 # Sentinel for "infinitely bad" values (unsolved instances).  All WORST
@@ -26,28 +25,11 @@ def is_worst(value: float) -> bool:
     return value == WORST
 
 
-@dataclass(frozen=True)
-class RankVector:
-    """Ranks parallel to the input values; smallest value has rank 1.
+def rank_ascending(values: Sequence[float]) -> tuple[float, ...]:
+    """Ranks parallel to ``values``, ascending with mid-rank ties.
 
-    Ties receive the mean of the ranks they span, so the rank sum is
-    always n(n+1)/2.
-    """
-
-    ranks: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def __iter__(self):
-        return iter(self.ranks)
-
-    def __getitem__(self, i: int) -> float:
-        return self.ranks[i]
-
-
-def rank_ascending(values: Sequence[float]) -> RankVector:
-    """Rank values ascending with mid-rank ties.
+    The smallest value has rank 1; ties receive the mean of the ranks they
+    span, so the rank sum is always n(n+1)/2.
 
     ``values`` may contain :data:`WORST`; these tie at the top end.
 
@@ -69,4 +51,4 @@ def rank_ascending(values: Sequence[float]) -> RankVector:
         for k in range(i, j + 1):
             ranks[order[k]] = mid
         i = j + 1
-    return RankVector(tuple(ranks))
+    return tuple(ranks)

@@ -27,7 +27,7 @@ from .dataio import (
 )
 from .hardness import HardnessTable, RNG_NAME
 from .ordering import PartialOrder, to_dot
-from .pairwise import ComparisonResult, MagnitudeResult, Measure
+from .pairwise import MEASURE_FIELDS, ComparisonResult, MagnitudeResult, Measure
 from .scaling import IncomparableReason, ScalingResult, Verdict
 
 LEVEL_ORDER = (
@@ -92,12 +92,11 @@ def load_config_file(path: str | Path, base: ReportConfig | None = None) -> Repo
             value = value.strip()
             if key not in field_types:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            if key == "output_dir":
-                setattr(config, key, Path(value))
-            elif key.startswith("alpha"):
-                setattr(config, key, float(value))
-            else:
-                setattr(config, key, int(value))
+            convert = Path if key == "output_dir" else float if key.startswith("alpha") else int
+            try:
+                setattr(config, key, convert(value))
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
     config.validate()
     return config
 
@@ -559,14 +558,11 @@ def series_csv(
     def value(rec: RunRecord | None) -> str:
         if rec is None or not rec.solved:
             return ""
-        if measure is Measure.SPEED:
-            return str(rec.time_ms)
-        field = {
-            Measure.QUALITY_METRIC: rec.metric_value,
-            Measure.QUALITY_SEQ: rec.seq_length,
-            Measure.QUALITY_CONC: rec.conc_length,
-        }[measure]
-        return "" if field is None else fmt_float(float(field))
+        field = getattr(rec, MEASURE_FIELDS[measure])
+        if field is None:
+            return ""
+        # times are integers: fmt_float would round them above 10 digits
+        return str(field) if measure is Measure.SPEED else fmt_float(float(field))
 
     direction = (
         ps.quality_direction.value if measure is Measure.QUALITY_METRIC else "minimize"

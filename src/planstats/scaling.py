@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .agreement import judge_ranks
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict, clamped_time
-from .ranking import RankVector, rank_ascending
+from .ranking import rank_ascending
 from .stattests import SpearmanResult, spearman_test
 
 DEFAULT_ALPHA = 0.05
@@ -103,7 +103,7 @@ def agreed_difficulty(
 
 def _pooled_ranking(
     difficulty: Mapping[str, Sequence[float]], domains: Sequence[str]
-) -> RankVector:
+) -> tuple[float, ...]:
     return rank_ascending([score for domain in domains for score in difficulty[domain]])
 
 
@@ -114,7 +114,7 @@ def difficulty_ranking(
     domains: Sequence[str],
     category: Category,
     size_class: SizeClass = SizeClass.SMALL,
-) -> RankVector:
+) -> tuple[float, ...]:
     """Agreed difficulty ranking of the pooled problems at a level.
 
     The pooled problems (in :func:`pooled_problems` order) ranked

@@ -25,7 +25,7 @@ from .distributions import (
     two_sided_p_from_t,
     two_sided_p_from_z,
 )
-from .ranking import EmptyInput, RankVector, rank_ascending
+from .ranking import EmptyInput, rank_ascending
 
 
 class DegenerateStatisticWarning(UserWarning):
@@ -325,7 +325,7 @@ def paired_t_normalized(pairs: Sequence[tuple[float, float]]) -> PairedTResult:
     )
 
 
-def spearman_test(x_ranks: RankVector, y_ranks: RankVector) -> SpearmanResult:
+def spearman_test(x_ranks: Sequence[float], y_ranks: Sequence[float]) -> SpearmanResult:
     """Spearman rank correlation test on two parallel rank vectors.
 
     R is the sum of squared per-position rank differences and

@@ -205,12 +205,15 @@ class TestConfigFile:
         assert invoke("hardness", *common(out2, "--config", str(cfg), "--seed", "5")) == 0
         assert "# seed=5" in (out2 / "hardness_auto_small.csv").read_text()
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["nonsense=1", "bootstrap_B=1.5", "alpha_scaling=abc"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense=1\n")
+        cfg.write_text(line + "\n")
         rc = invoke("hardness", *common(tmp_path, "--config", str(cfg)))
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "bad.cfg:1" in err
 
     def test_invalid_alpha_rejected(self, tmp_path):
         rc = invoke("compare", *common(tmp_path, "--alpha", "0.7"))

@@ -311,3 +311,20 @@ class TestValidateDataset:
         assert "attempted 2" in notes[0].message
         assert "solved 1" in notes[0].message
         assert "of 4" in notes[0].message
+
+    def test_coverage_counts_large_sets_for_hand_coded_only(self):
+        doc = {
+            "planners": [
+                {"name": "auto", "category": "fully-automated", "levels": ["strips"]},
+                {"name": "hand", "category": "hand-coded", "levels": ["strips"]},
+            ],
+            "problem_sets": [pset("d", "strips", 4), pset("d", "strips", 3, size="large", prefix="L")],
+        }
+        runs = [run(p, "d", "strips", problem, 5) for p in ("auto", "hand")
+                for problem in ("p01", "L01", "L02")]
+        notes = [d.message for d in validate_dataset(runs, parse_manifest(doc))
+                 if d.kind == "Coverage"]
+        assert notes == [
+            "planner auto attempted 1 and solved 1 of 4 available problems",
+            "planner hand attempted 3 and solved 3 of 7 available problems",
+        ]

@@ -100,8 +100,7 @@ class TestHardnessRendering:
             make_verdict("p5", "cargo", Level.STRIPS, 0.5, Classification.NEITHER),
             make_verdict("p6", "cargo", Level.STRIPS, 0.6, Classification.NEITHER),
         ]
-        table = HardnessTable(AUTO := Category.FULLY_AUTOMATED, SizeClass.SMALL,
-                              "level-specific", tuple(verdicts))
+        table = HardnessTable(AUTO := Category.FULLY_AUTOMATED, SizeClass.SMALL, tuple(verdicts))
         assert table.cell_counts()[("cargo", Level.STRIPS)] == (1, 3)
         text = render_hardness_text(table, table)
         assert "1/3" in text
@@ -113,8 +112,7 @@ class TestHardnessRendering:
             make_verdict("p1", "gridworld", Level.STRIPS, 0.5, Classification.NEITHER),
             make_verdict("p1", "orchard", Level.STRIPS, 0.97, Classification.NEITHER),
         ]
-        table = HardnessTable(Category.FULLY_AUTOMATED, SizeClass.SMALL,
-                              "level-specific", tuple(verdicts))
+        table = HardnessTable(Category.FULLY_AUTOMATED, SizeClass.SMALL, tuple(verdicts))
         text = render_hardness_text(table, table)
         assert "easy: cargo/strips 0.03" in text
         assert "hard: orchard/strips 0.97" in text
