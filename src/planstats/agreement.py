@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .pairwise import NoProblems, _check_entered
 from .ranking import WORST, rank_ascending
@@ -58,13 +60,11 @@ def judge_ranks(
         NoProblems: if the cell has no problem set.
     """
     _check_entered(manifest, planner, level)
-    sets = manifest.sets_at(level=level, size_class=size_class, domain=domain)
-    if not sets:
+    grid = RunTable.of(runs).grid(manifest, level, size_class)
+    if domain not in grid.spans:
         raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
-    (ps,) = sets
-    runs = RunTable.of(runs)
-    times = [runs.solve_time(planner, domain, level, problem) for problem in ps.problems]
-    return rank_ascending([WORST if t is None else t for t in times])
+    times = grid.values["time_ms"][grid.rows[planner], grid.spans[domain]]
+    return rank_ascending(np.where(np.isnan(times), WORST, times).tolist())
 
 
 def _eligible_judges(
@@ -75,16 +75,17 @@ def _eligible_judges(
     size_class: SizeClass,
     category: Category,
 ) -> tuple[list[str], list[str]]:
-    sets = manifest.sets_at(level=level, size_class=size_class, domain=domain)
-    if not sets:
+    grid = runs.grid(manifest, level, size_class)
+    if domain not in grid.spans:
         raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
-    (ps,) = sets
+    span = grid.spans[domain]
+    attempted = grid.present[:, span].sum(axis=1).tolist()
     judges, excluded = [], []
     for entry in sorted(manifest.planners_in(category, level), key=lambda p: p.name):
-        n_attempted = sum(runs.get(entry.name, domain, level, p) is not None for p in ps.problems)
+        n_attempted = attempted[grid.rows[entry.name]]
         if n_attempted == 0:
             continue
-        if n_attempted >= MIN_ATTEMPT_FRACTION * len(ps.problems):
+        if n_attempted >= MIN_ATTEMPT_FRACTION * (span.stop - span.start):
             judges.append(entry.name)
         else:
             excluded.append(entry.name)

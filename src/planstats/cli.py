@@ -25,7 +25,6 @@ from .dataio import (
     DataError,
     Level,
     Manifest,
-    RunTable,
     SizeClass,
     load_manifest,
     load_runs,
@@ -368,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        runs = RunTable(load_runs(args.runs))
+        runs = load_runs(args.runs)
         manifest = load_manifest(args.manifest)
     except (DataError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

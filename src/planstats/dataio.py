@@ -20,9 +20,13 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 RUNS_HEADER = (
     "planner",
@@ -134,40 +138,6 @@ class RunRecord:
         return (self.planner, self.domain, self.level, self.problem)
 
 
-class RunTable(tuple):
-    """The run records in their order, indexed once by (planner, domain, level, problem).
-
-    The analyses look records up here instead of scanning them.  Where a
-    key repeats, the last record with it wins.
-    """
-
-    def __init__(self, records: Iterable[RunRecord]):
-        # tuple.__new__ has already stored ``records`` in self
-        self._by_key: dict[tuple[str, str, Level, str], RunRecord] = {}
-        planners: dict[tuple[str, Level], set[str]] = {}
-        for r in self:
-            self._by_key[r.key] = r
-            planners.setdefault((r.domain, r.level), set()).add(r.planner)
-        self._planners = {cell: frozenset(names) for cell, names in planners.items()}
-
-    @classmethod
-    def of(cls, runs: Sequence[RunRecord]) -> "RunTable":
-        """``runs`` itself if it is a table, else a table over it."""
-        return runs if isinstance(runs, RunTable) else cls(runs)
-
-    def get(self, planner: str, domain: str, level: Level, problem: str) -> RunRecord | None:
-        return self._by_key.get((planner, domain, level, problem))
-
-    def solve_time(self, planner: str, domain: str, level: Level, problem: str) -> float | None:
-        """Solve time in ms, or None when the problem is unsolved or unattempted."""
-        rec = self._by_key.get((planner, domain, level, problem))
-        return float(rec.time_ms) if rec is not None and rec.solved else None
-
-    def planners_at(self, domain: str, level: Level) -> frozenset[str]:
-        """Planners with any record at (domain, level)."""
-        return self._planners.get((domain, level), frozenset())
-
-
 @dataclass(frozen=True)
 class PlannerEntry:
     name: str
@@ -243,6 +213,137 @@ class Manifest:
         return seen
 
 
+# the value fields of a record, each laid out as a float array in a RunGrid
+VALUE_FIELDS = ("time_ms", "metric_value", "seq_length", "conc_length")
+
+
+@dataclass(frozen=True, eq=False)
+class RunGrid:
+    """The records at one (level, size class) as planner × problem arrays.
+
+    Columns are the problems of the level's sets of that size class, in
+    manifest set and problem order; ``spans`` gives each domain's columns.
+    Rows are planner names in name order: the manifest's planners and every
+    planner with a record at the level.  ``index`` holds the table row of
+    each cell's record, -1 where there is none, and ``values`` each value
+    field as floats, NaN where the cell has no record, is unsolved or
+    lacks the field.
+    """
+
+    names: tuple[str, ...]
+    rows: dict[str, int]
+    spans: dict[str, slice]
+    # per column: its set maximizes the metric
+    maximize: np.ndarray
+    index: np.ndarray
+    present: np.ndarray
+    solved: np.ndarray
+    values: dict[str, np.ndarray]
+
+    def attempted(self, span: slice) -> list[str]:
+        """Planners with a record in the columns ``span``, in name order."""
+        hits = self.present[:, span].any(axis=1)
+        return [name for name, hit in zip(self.names, hits.tolist()) if hit]
+
+
+class RunTable(Sequence[RunRecord]):
+    """The run records as columns, one list per field of ``RUNS_HEADER``, in
+    their order.
+
+    The analyses read records through :meth:`grid`, which lays out one
+    (level, size class) the first time it is asked for and keeps it for
+    the manifest it was laid out by.  A record object is built only when
+    one is asked for, by indexing or iterating.  Where a key repeats, the
+    last record with it wins.
+    """
+
+    def __init__(self, columns: Sequence[Sequence]):
+        self.columns: dict[str, Sequence] = dict(zip(RUNS_HEADER, columns))
+        # table rows per level and the cell arrays, made on first use
+        self._at_level: dict[Level, list[int]] | None = None
+        self._arrays: dict[str, np.ndarray] | None = None
+        self._manifest: Manifest | None = None
+        self._grids: dict[tuple[Level, SizeClass], RunGrid] = {}
+
+    @classmethod
+    def of(cls, runs: Sequence[RunRecord]) -> "RunTable":
+        """``runs`` itself if it is a table, else a table over it."""
+        if isinstance(runs, RunTable):
+            return runs
+        return cls([[getattr(r, name) for r in runs] for name in RUNS_HEADER])
+
+    def __len__(self) -> int:
+        return len(self.columns["planner"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
+        return RunRecord(*(column[index] for column in self.columns.values()))
+
+    def __iter__(self):
+        return map(RunRecord, *self.columns.values())
+
+    def grid(self, manifest: Manifest, level: Level, size_class: SizeClass) -> RunGrid:
+        """The (level, size class) grid under ``manifest``, laid out once."""
+        if manifest is not self._manifest:
+            self._manifest, self._grids = manifest, {}
+        key = (level, size_class)
+        grid = self._grids.get(key)
+        if grid is None:
+            grid = self._grids[key] = self._lay_out(manifest, level, size_class)
+        return grid
+
+    def _lay_out(self, manifest: Manifest, level: Level, size_class: SizeClass) -> RunGrid:
+        columns: dict[tuple[str, str], int] = {}
+        spans: dict[str, slice] = {}
+        maximize: list[bool] = []
+        for ps in manifest.sets_at(level=level, size_class=size_class):
+            start = len(maximize)
+            columns.update(((ps.domain, p), j) for j, p in enumerate(ps.problems, start))
+            maximize += [ps.quality_direction is QualityDirection.MAXIMIZE] * len(ps.problems)
+            spans[ps.domain] = slice(start, len(maximize))
+        if self._at_level is None:
+            self._at_level = {}
+            for i, lv in enumerate(self.columns["level"]):
+                self._at_level.setdefault(lv, []).append(i)
+        at_level = self._at_level.get(level, [])
+        planner, domain, problem = (self.columns[k] for k in ("planner", "domain", "problem"))
+        entrants = {p.name for p in manifest.planners}
+        names = tuple(sorted(entrants.union(planner[i] for i in at_level)))
+        rows = {name: r for r, name in enumerate(names)}
+        width = len(maximize)
+        flat = [-1] * (len(names) * width)
+        for i in at_level:
+            j = columns.get((domain[i], problem[i]))
+            if j is not None:
+                flat[rows[planner[i]] * width + j] = i
+        index = np.array(flat, dtype=np.intp).reshape(len(names), width)
+        # index -1 reads the arrays' trailing entry: unsolved, no values
+        arrays = self._cell_arrays()
+        return RunGrid(
+            names=names,
+            rows=rows,
+            spans=spans,
+            maximize=np.array(maximize, dtype=bool),
+            index=index,
+            present=index >= 0,
+            solved=arrays["solved"][index],
+            values={name: arrays[name][index] for name in VALUE_FIELDS},
+        )
+
+    def _cell_arrays(self) -> dict[str, np.ndarray]:
+        """The solved column and the value columns as arrays (values NaN where
+        absent or unsolved), each with one trailing unsolved entry."""
+        if self._arrays is None:
+            solved = np.array([*self.columns["solved"], False], dtype=bool)
+            self._arrays = {"solved": solved}
+            for name in VALUE_FIELDS:
+                values = np.array([*self.columns[name], None], dtype=float)
+                values[~solved] = math.nan
+                self._arrays[name] = values
+        return self._arrays
+
+
 def _parse_optional_int(raw: str, row: int, column: str) -> int | None:
     if raw == "":
         return None
@@ -267,8 +368,9 @@ def _parse_optional_float(raw: str, row: int, column: str) -> float | None:
     return value
 
 
-def parse_run_row(fields: Sequence[str], row: int) -> RunRecord:
-    """Validate and convert one data row (1-based file line number ``row``)."""
+def _parse_row(fields: Sequence[str], row: int) -> tuple:
+    """Validate and convert one data row (1-based file line number ``row``)
+    into its nine values, checking fields in column order."""
     if len(fields) != len(RUNS_HEADER):
         raise BadField(row, "<row>", f"expected {len(RUNS_HEADER)} fields, got {len(fields)}")
     planner, domain, level_raw, problem = (f.strip() for f in fields[:4])
@@ -287,31 +389,87 @@ def parse_run_row(fields: Sequence[str], row: int) -> RunRecord:
     metric_value = _parse_optional_float(fields[6].strip(), row, "metric_value")
     seq_length = _parse_optional_int(fields[7].strip(), row, "seq_length")
     conc_length = _parse_optional_int(fields[8].strip(), row, "conc_length")
+    values = (time_ms, metric_value, seq_length, conc_length)
     if solved and time_ms is None:
         raise BadField(row, "time_ms", "required when solved=1")
     if not solved:
-        for column, value in (
-            ("time_ms", time_ms),
-            ("metric_value", metric_value),
-            ("seq_length", seq_length),
-            ("conc_length", conc_length),
-        ):
+        for column, value in zip(VALUE_FIELDS, values):
             if value is not None:
                 raise BadField(row, column, "must be empty when solved=0")
-    return RunRecord(
-        planner=planner,
-        domain=domain,
-        level=level,
-        problem=problem,
-        solved=solved,
-        time_ms=time_ms,
-        metric_value=metric_value,
-        seq_length=seq_length,
-        conc_length=conc_length,
+    return (planner, domain, level, problem, solved, *values)
+
+
+def _columns_by_row(rows: Sequence[Sequence[str]], numbers: Sequence[int]) -> list[Sequence]:
+    """The columns of ``rows`` parsed a row at a time; raises the first bad
+    row's error."""
+    parsed = []
+    seen: set[tuple] = set()
+    for fields, row in zip(rows, numbers):
+        values = _parse_row(fields, row)
+        key = values[:4]
+        if key in seen:
+            raise DuplicateKey(row, key)
+        seen.add(key)
+        parsed.append(values)
+    return [list(column) for column in zip(*parsed)] or [[] for _ in RUNS_HEADER]
+
+
+def _columns(text: str) -> list[Sequence] | None:
+    """The columns of a runs CSV without quotes, split and converted a column
+    at a time; None when it has quotes, lone carriage returns, another
+    header, a line without nine fields, or a row that breaks a rule
+    ``_parse_row`` checks or pads a field."""
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    width = len(RUNS_HEADER)
+    if lines[:1] != [",".join(RUNS_HEADER)]:
+        return None
+    del lines[0]
+    if any(line.count(",") != width - 1 for line in lines):
+        return None
+    if not lines:
+        return [[] for _ in RUNS_HEADER]
+    # unquoted: csv would split each line at its commas
+    fields = ",".join(lines).split(",")
+    del lines  # lower the peak: the columns below share the field strings
+    planner, domain, level_raw, problem, solved_raw, *raw = (
+        fields[k::width] for k in range(width)
     )
+    del fields
+    for column in (planner, domain, level_raw, problem):
+        if "" in column or any(value != value.strip() for value in set(column)):
+            return None
+    if not set(solved_raw) <= {"0", "1"}:
+        return None
+    solved = [value == "1" for value in solved_raw]
+    # a time on exactly the solved rows, other values on solved rows only
+    if list(map(bool, raw[0])) != solved or not all(all(compress(solved, c)) for c in raw[1:]):
+        return None
+    try:
+        levels = {value: Level.parse(value) for value in set(level_raw)}
+        time_ms, seq_length, conc_length = (
+            [int(value) if value else None for value in column]
+            for column in (raw[0], raw[2], raw[3])
+        )
+        metric_value = [float(value) if value else None for value in raw[1]]
+    except (UnknownLevel, ValueError):
+        return None
+    if min(filter(None, chain(time_ms, seq_length, conc_length)), default=0) < 0:
+        return None
+    if not all(map(math.isfinite, filter(None, metric_value))):
+        return None
+    # keys compare levels by value: "strips" and "STRIPS" are one level
+    canonical = {value: level.value for value, level in levels.items()}
+    if len(set(zip(planner, domain, map(canonical.get, level_raw), problem))) < len(planner):
+        return None
+    level = list(map(levels.__getitem__, level_raw))
+    return [planner, domain, level, problem, solved, time_ms, metric_value, seq_length, conc_length]
 
 
-def load_runs(path: str | Path) -> list[RunRecord]:
+def load_runs(path: str | Path) -> RunTable:
     """Load and validate a runs CSV.
 
     Order-preserving and deterministic; the first malformed row aborts
@@ -326,25 +484,25 @@ def load_runs(path: str | Path) -> list[RunRecord]:
         return read_runs(fh)
 
 
-def read_runs(fh: io.TextIOBase) -> list[RunRecord]:
-    reader = csv.reader(fh)
+def read_runs(fh: io.TextIOBase) -> RunTable:
+    text = fh.read()
+    columns = _columns(text)
+    if columns is not None:
+        return RunTable(columns)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
         raise MissingHeader("empty file") from None
     if tuple(h.strip() for h in header) != RUNS_HEADER:
         raise MissingHeader(f"expected header {','.join(RUNS_HEADER)!r}, got {','.join(header)!r}")
-    records: list[RunRecord] = []
-    seen: set[tuple] = set()
-    for row_number, fields in enumerate(reader, start=2):
-        if not fields or (len(fields) == 1 and fields[0].strip() == ""):
-            continue  # tolerate blank lines
-        record = parse_run_row(fields, row_number)
-        if record.key in seen:
-            raise DuplicateKey(row_number, record.key)
-        seen.add(record.key)
-        records.append(record)
-    return records
+    # skip blank lines, keeping each row's line number
+    numbered = [
+        (row, fields)
+        for row, fields in enumerate(reader, start=2)
+        if fields and not (len(fields) == 1 and fields[0].strip() == "")
+    ]
+    return RunTable(_columns_by_row([f for _, f in numbered], [row for row, _ in numbered]))
 
 
 def save_runs(records: Iterable[RunRecord], path: str | Path) -> None:
@@ -474,55 +632,56 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
     """
     runs = RunTable.of(runs)
     diagnostics: list[Diagnostic] = []
-    for record in runs:
-        entry = manifest.planner(record.planner)
+    for key in zip(*(runs.columns[name] for name in RUNS_HEADER[:4])):
+        planner, domain, level, problem = key
+        entry = manifest.planner(planner)
         if entry is None:
             diagnostics.append(
                 Diagnostic(
                     "UnknownPlanner",
                     "error",
-                    f"record {record.key} references planner {record.planner!r} "
+                    f"record {key} references planner {planner!r} "
                     "not declared in the manifest",
                 )
             )
             continue
-        if manifest.resolve(record.domain, record.level, record.problem) is None:
+        if manifest.resolve(domain, level, problem) is None:
             diagnostics.append(
                 Diagnostic(
                     "UnknownProblem",
                     "error",
-                    f"record {record.key} references a problem not in any problem set",
+                    f"record {key} references a problem not in any problem set",
                 )
             )
-        if record.level not in entry.levels_entered:
+        if level not in entry.levels_entered:
             diagnostics.append(
                 Diagnostic(
                     "LevelNotEntered",
                     "error",
-                    f"planner {record.planner!r} has a record at level "
-                    f"{record.level.value} it did not enter",
+                    f"planner {planner!r} has a record at level "
+                    f"{level.value} it did not enter",
                 )
             )
 
     for entry in manifest.planners:
-        sizes = sizes_faced(entry.category)
-        available = {
-            (ps.domain, ps.level, p)
-            for ps in manifest.problem_sets
-            if ps.level in entry.levels_entered and ps.size_class in sizes
-            for p in ps.problems
-        }
-        if not available:
+        n_available = n_attempted = n_solved = 0
+        for level in manifest.levels():
+            if level not in entry.levels_entered:
+                continue
+            for size_class in sizes_faced(entry.category):
+                grid = runs.grid(manifest, level, size_class)
+                row = grid.rows[entry.name]
+                n_available += grid.index.shape[1]
+                n_attempted += int(grid.present[row].sum())
+                n_solved += int(grid.solved[row].sum())
+        if not n_available:
             continue
-        records = [runs.get(entry.name, *key) for key in available]
-        n_attempted = sum(r is not None for r in records)
-        n_solved = sum(r is not None and r.solved for r in records)
         diagnostics.append(
             Diagnostic(
                 "Coverage",
                 "info",
                 f"planner {entry.name} attempted {n_attempted} and solved {n_solved} "
-                f"of {len(available)} available problems",
+                f"of {n_available} available problems",
             )
         )
     return diagnostics

@@ -151,14 +151,15 @@ class HardnessTable:
         return out
 
 
-def clamped_time(t: float | None, cutoff_ms: int) -> float:
-    """A time as the difficulty area counts it: unsolved (None) pays the cutoff,
-    solved times are clamped at it."""
-    return float(cutoff_ms) if t is None else min(float(t), float(cutoff_ms))
+def clamped_times(times: Sequence[float | None] | np.ndarray, cutoff_ms: int) -> np.ndarray:
+    """Solve times as the difficulty area counts them: an unsolved time (None
+    or NaN) pays the cutoff, solved times are clamped at it."""
+    times = np.array(times, dtype=float)
+    return np.minimum(np.where(np.isnan(times), float(cutoff_ms), times), float(cutoff_ms))
 
 
 def difficulty_area(times: Sequence[float | None], cutoff_ms: int) -> float:
-    """Sum of cutoff-clamped solve times; None (unsolved) pays the cutoff.
+    """Sum of cutoff-clamped solve times; None or NaN (unsolved) pays the cutoff.
 
     This is the closed form of the area under the step curve counting
     problems left to solve over [0, cutoff].
@@ -171,7 +172,8 @@ def difficulty_area(times: Sequence[float | None], cutoff_ms: int) -> float:
         raise ValueError(f"cutoff_ms must be positive, got {cutoff_ms}")
     if len(times) == 0:
         raise EmptyInput("difficulty_area needs at least one time")
-    return float(sum(clamped_time(t, cutoff_ms) for t in times))
+    # left to right like each bootstrap sample's area, not in np.sum's pairwise order
+    return float(sum(clamped_times(times, cutoff_ms).tolist()))
 
 
 def subject_area(
@@ -187,12 +189,14 @@ def subject_area(
 
     Unattempted problems count as unsolved.
     """
-    sets = manifest.sets_at(level=level, size_class=size_class, domain=domain)
-    if not sets:
+    grid = RunTable.of(runs).grid(manifest, level, size_class)
+    if domain not in grid.spans:
         raise EmptyPool(f"no {size_class.value} problem set for {domain}/{level.value}")
-    (ps,) = sets
-    runs = RunTable.of(runs)
-    times = [runs.solve_time(planner, domain, level, problem) for problem in ps.problems]
+    span = grid.spans[domain]
+    if planner in grid.rows:
+        times = grid.values["time_ms"][grid.rows[planner], span]
+    else:  # no record at the level and not in the manifest
+        times = [None] * (span.stop - span.start)
     return DifficultyArea(
         planner=planner,
         domain=domain,
@@ -212,22 +216,23 @@ def _pool_timings(
     size_class: SizeClass,
     cutoff_ms: int,
 ) -> list[np.ndarray]:
-    """Per-problem arrays of clamped timings, one entry per eligible planner.
+    """Per-problem arrays of clamped timings, one entry per eligible planner
+    in name order, so that the manifest's planner order moves no sample.
 
     A problem is in the pool when at least one category planner entered
     its level; a planner with no record on a pooled problem contributes
     the cutoff (unsolved).
     """
-    sets = manifest.sets_at(level=pool_kind.level, size_class=size_class)
     runs = RunTable.of(runs)
     per_problem: list[np.ndarray] = []
-    for ps in sets:
-        eligible = [p.name for p in manifest.planners_in(category, ps.level)]
+    for ps in manifest.sets_at(level=pool_kind.level, size_class=size_class):
+        eligible = sorted(p.name for p in manifest.planners_in(category, ps.level))
         if not eligible:
             continue
-        for problem in ps.problems:
-            times = [runs.solve_time(name, ps.domain, ps.level, problem) for name in eligible]
-            per_problem.append(np.array([clamped_time(t, cutoff_ms) for t in times]))
+        grid = runs.grid(manifest, ps.level, size_class)
+        rows = [grid.rows[name] for name in eligible]
+        times = grid.values["time_ms"][rows, grid.spans[ps.domain]]
+        per_problem.extend(np.ascontiguousarray(clamped_times(times, cutoff_ms).T))
     return per_problem
 
 
@@ -459,9 +464,17 @@ def hardness_table(
     for ps in sorted(
         manifest.sets_at(size_class=size_class), key=lambda s: (s.domain, s.level.value)
     ):
+        # planners with a record on the cell's problems, of either size class
+        grids = [runs.grid(manifest, ps.level, size) for size in SizeClass]
+        attempted = {
+            name
+            for grid in grids
+            if ps.domain in grid.spans
+            for name in grid.attempted(grid.spans[ps.domain])
+        }
         planners = manifest.planners_in(category, ps.level)
         for entry in sorted(planners, key=lambda p: p.name):
-            if entry.name not in runs.planners_at(ps.domain, ps.level):
+            if entry.name not in attempted:
                 continue
             dist = dist_for(ps.level)
             if dist is None:

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dataio import Level, Manifest, QualityDirection, RunRecord, RunTable, SizeClass
 from .distributions import DomainError
 from .ranking import WORST, is_worst
@@ -119,28 +121,6 @@ class MagnitudeResult:
     direction: QualityDirection
 
 
-def _measure_value(
-    record: RunRecord | None,
-    measure: Measure,
-    direction: QualityDirection,
-    negate_maximize: bool,
-) -> float:
-    """The record's value under a measure, or WORST if unavailable."""
-    if record is None or not record.solved:
-        return WORST
-    field = getattr(record, MEASURE_FIELDS[measure])
-    if field is None:
-        return WORST
-    value = float(field)
-    if (
-        measure is Measure.QUALITY_METRIC
-        and direction is QualityDirection.MAXIMIZE
-        and negate_maximize
-    ):
-        return -value
-    return value
-
-
 def _check_entered(manifest: Manifest, name: str, level: Level) -> None:
     entry = manifest.planner(name)
     if entry is None or level not in entry.levels_entered:
@@ -173,26 +153,20 @@ def build_pairs(
     """
     _check_entered(manifest, a, level)
     _check_entered(manifest, b, level)
-    sets = manifest.sets_at(level=level, size_class=size_class)
-    if not sets:
+    grid = RunTable.of(runs).grid(manifest, level, size_class)
+    if not grid.spans:
         raise NoProblems(f"no {size_class.value} problem sets at level {level.value}")
-    runs = RunTable.of(runs)
-    pairs = []
-    for ps in sets:
-        for problem in ps.problems:
-            rec_a = runs.get(a, ps.domain, level, problem)
-            rec_b = runs.get(b, ps.domain, level, problem)
-            solved_a = rec_a is not None and rec_a.solved
-            solved_b = rec_b is not None and rec_b.solved
-            if not (solved_a or solved_b):
-                continue
-            va = _measure_value(rec_a, measure, ps.quality_direction, negate_maximize)
-            vb = _measure_value(rec_b, measure, ps.quality_direction, negate_maximize)
-            if mode is PairingMode.DOUBLE_HITS:
-                if is_worst(va) or is_worst(vb):
-                    continue
-            pairs.append((va, vb))
-    return pairs
+    rows = [grid.rows[a], grid.rows[b]]
+    values = grid.values[MEASURE_FIELDS[measure]][rows]
+    if measure is Measure.QUALITY_METRIC and negate_maximize:
+        values = np.where(grid.maximize, -values, values)
+    values = np.where(np.isnan(values), WORST, values)
+    if mode is PairingMode.DOUBLE_HITS:
+        keep = (values != WORST).all(axis=0)
+    else:
+        keep = grid.solved[rows].any(axis=0)
+    va, vb = values[:, keep].tolist()
+    return list(zip(va, vb))
 
 
 def pair_difference(va: float, vb: float) -> float:

@@ -68,18 +68,28 @@ class ReportConfig:
         for name in ("alpha_pairwise", "alpha_magnitude", "alpha_agreement", "alpha_scaling"):
             value = getattr(self, name)
             if not (0.0 < value < 0.5):
-                raise ValueError(f"{name} must lie in (0, 0.5), got {value}")
+                raise BadConfigValue(name, f"{name} must lie in (0, 0.5), got {value}")
         for name in ("bootstrap_B", "bootstrap_m", "cutoff_ms"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise BadConfigValue(name, f"{name} must be positive")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+            raise BadConfigValue("seed", "seed must fit in 64 bits")
+
+
+class BadConfigValue(ValueError):
+    """A config field holds a value outside its range."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 def load_config_file(path: str | Path, base: ReportConfig | None = None) -> ReportConfig:
     """Read ``key=value`` lines into a config; unknown keys are errors."""
     config = base or ReportConfig()
     field_types = {f.name: f.type for f in fields(ReportConfig)}
+    # key -> number of the line that last set it
+    set_on: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -97,7 +107,13 @@ def load_config_file(path: str | Path, base: ReportConfig | None = None) -> Repo
                 setattr(config, key, convert(value))
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
-    config.validate()
+            set_on[key] = line_no
+    try:
+        config.validate()
+    except BadConfigValue as exc:
+        if exc.name not in set_on:
+            raise
+        raise ValueError(f"{path}:{set_on[exc.name]}: {exc}") from None
     return config
 
 
@@ -549,20 +565,19 @@ def series_csv(
         raise UnknownCell(f"no {size_class.value} problem set for {domain}/{level.value}")
     (ps,) = sets
     runs = RunTable.of(runs)
-    planners = sorted(
-        p
-        for p in runs.planners_at(domain, level)
-        if any(runs.get(p, domain, level, problem) is not None for problem in ps.problems)
-    )
+    grid = runs.grid(manifest, level, size_class)
+    span = grid.spans[domain]
+    planners = grid.attempted(span)
+    rows = [grid.rows[p] for p in planners]
+    values = grid.values[MEASURE_FIELDS[measure]][rows, span].T.tolist()
+    records = grid.index[rows, span].T.tolist()
+    times = runs.columns["time_ms"]
 
-    def value(rec: RunRecord | None) -> str:
-        if rec is None or not rec.solved:
-            return ""
-        field = getattr(rec, MEASURE_FIELDS[measure])
-        if field is None:
+    def text(value: float, record: int) -> str:
+        if math.isnan(value):
             return ""
         # times are integers: fmt_float would round them above 10 digits
-        return str(field) if measure is Measure.SPEED else fmt_float(float(field))
+        return str(times[record]) if measure is Measure.SPEED else fmt_float(value)
 
     direction = (
         ps.quality_direction.value if measure is Measure.QUALITY_METRIC else "minimize"
@@ -573,8 +588,8 @@ def series_csv(
     out.write(f"# direction={direction}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["problem"] + planners)
-    for problem in ps.problems:
-        writer.writerow([problem] + [value(runs.get(p, domain, level, problem)) for p in planners])
+    for problem, value_row, record_row in zip(ps.problems, values, records):
+        writer.writerow([problem] + [text(v, i) for v, i in zip(value_row, record_row)])
     return out.getvalue()
 
 

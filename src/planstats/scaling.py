@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .agreement import judge_ranks
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
-from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict, clamped_time
+from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict, clamped_times
 from .ranking import rank_ascending
 from .stattests import SpearmanResult, spearman_test
 
@@ -169,13 +169,11 @@ def scaling_comparison(
     domains = eligible_domains(hardness.get(a, {}), hardness.get(b, {}))
     if len(domains) < MIN_AGREED_DOMAINS:
         return result(domains, IncomparableReason.INSUFFICIENT_AGREEMENT)
-    problems = pooled_problems(manifest, level, domains, size_class)
-    runs = RunTable.of(runs)
-    differences = [
-        clamped_time(runs.solve_time(a, d, level, p), cutoff_ms)
-        - clamped_time(runs.solve_time(b, d, level, p), cutoff_ms)
-        for d, p in problems
-    ]
+    grid = RunTable.of(runs).grid(manifest, level, size_class)
+    times = clamped_times(grid.values["time_ms"][[grid.rows[a], grid.rows[b]]], cutoff_ms)
+    per_problem = (times[0] - times[1]).tolist()
+    # the pooled problems, in pooled_problems order
+    differences = [d for domain in domains for d in per_problem[grid.spans[domain]]]
     spearman = spearman_test(_pooled_ranking(difficulty, domains), rank_ascending(differences))
     if spearman.p_two_sided <= alpha and spearman.z != 0.0:
         # z = -rho*sqrt(n-1): positive rho (z < 0) means (a - b) grows
@@ -183,4 +181,4 @@ def scaling_comparison(
         verdict = Verdict.B_SCALES_BETTER if spearman.z < 0 else Verdict.A_SCALES_BETTER
     else:
         verdict = Verdict.NO_DIFFERENCE
-    return result(domains, None, len(problems), spearman, verdict)
+    return result(domains, None, len(differences), spearman, verdict)

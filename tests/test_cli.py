@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from planstats import cli, dataio
 from planstats.cli import main
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
@@ -41,6 +42,27 @@ class TestValidateCommand:
                     "--out", str(tmp_path))
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+
+class TestColumnarPath:
+    def test_compare_loads_once_and_builds_no_record(self, tmp_path, monkeypatch):
+        loads, records = [], []
+        load_runs, record_init = dataio.load_runs, dataio.RunRecord.__init__
+
+        def counting_load(path):
+            loads.append(path)
+            return load_runs(path)
+
+        def counting_init(self, *args, **kwargs):
+            records.append(args)
+            record_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "load_runs", counting_load)
+        monkeypatch.setattr(cli, "load_runs", counting_load)
+        monkeypatch.setattr(dataio.RunRecord, "__init__", counting_init)
+        assert invoke("compare", *common(tmp_path)) == 0
+        assert loads == [RUNS]
+        assert records == []
 
 
 class TestCompareCommand:
@@ -205,7 +227,9 @@ class TestConfigFile:
         assert invoke("hardness", *common(out2, "--config", str(cfg), "--seed", "5")) == 0
         assert "# seed=5" in (out2 / "hardness_auto_small.csv").read_text()
 
-    @pytest.mark.parametrize("line", ["nonsense=1", "bootstrap_B=1.5", "alpha_scaling=abc"])
+    @pytest.mark.parametrize(
+        "line", ["nonsense=1", "bootstrap_B=1.5", "alpha_scaling=abc", "alpha_pairwise=0.7"]
+    )
     def test_unknown_key_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")

@@ -35,7 +35,7 @@ def load_text(text):
 class TestLoadRuns:
     def test_solved_row(self):
         records = load_text(f"{HEADER}\nhermes,cargo,strips,p01,1,120,,14,9\n")
-        assert records == [
+        assert list(records) == [
             RunRecord("hermes", "cargo", Level.STRIPS, "p01", True, 120, None, 14, 9)
         ]
 
@@ -149,7 +149,7 @@ def records_strategy(draw):
 def test_save_load_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("roundtrip") / "runs.csv"
     save_runs(records, path)
-    assert load_runs(path) == records
+    assert list(load_runs(path)) == records
 
 
 @given(records_strategy())

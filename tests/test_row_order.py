@@ -1,14 +1,18 @@
-"""Row-order invariance: shuffling the runs CSV changes no analysis result."""
+"""Order invariance: shuffling the runs CSV or the manifest's planners
+changes no analysis result."""
 
 import functools
 import io
+import itertools
+import json
 from pathlib import Path
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from planstats.agreement import agreement_table, judge_ranks
-from planstats.dataio import Category, Level, load_manifest, read_runs
+from planstats.dataio import Category, Level, load_manifest, parse_manifest, read_runs
 from planstats.hardness import hardness_table
 from planstats.pairwise import Measure, PairingMode, all_pairs, compare
 from planstats.report import series_csv
@@ -22,34 +26,34 @@ PLANNERS = [p.name for p in MANIFEST.planners]
 LEVELS = (Level.STRIPS, Level.NUMERIC)
 
 
-def analyses(runs):
-    specific = hardness_table(runs, MANIFEST, AUTO, level_specific_pools=True, B=40, seed=5)
-    difficulty = {level: agreed_difficulty(runs, MANIFEST, level, AUTO) for level in LEVELS}
+def analyses(runs, manifest=MANIFEST):
+    specific = hardness_table(runs, manifest, AUTO, level_specific_pools=True, B=40, seed=5)
+    difficulty = {level: agreed_difficulty(runs, manifest, level, AUTO) for level in LEVELS}
     return (
         [
-            compare(runs, MANIFEST, a, b, level, measure, mode)
+            compare(runs, manifest, a, b, level, measure, mode)
             for a, b in all_pairs(PLANNERS)
             for level in LEVELS
             for measure in (Measure.SPEED, Measure.QUALITY_SEQ, Measure.QUALITY_METRIC)
             for mode in PairingMode
         ],
         [
-            judge_ranks(runs, MANIFEST, planner, ps.domain, ps.level)
+            judge_ranks(runs, manifest, planner, ps.domain, ps.level)
             for planner in PLANNERS
-            for ps in MANIFEST.problem_sets
+            for ps in manifest.problem_sets
         ],
-        agreement_table(runs, MANIFEST, AUTO),
+        agreement_table(runs, manifest, AUTO),
         [
-            series_csv(runs, MANIFEST, ps.domain, ps.level, measure)
-            for ps in MANIFEST.problem_sets
+            series_csv(runs, manifest, ps.domain, ps.level, measure)
+            for ps in manifest.problem_sets
             for measure in Measure
         ],
         specific,
-        hardness_table(runs, MANIFEST, AUTO, level_specific_pools=False, B=40, seed=5),
+        hardness_table(runs, manifest, AUTO, level_specific_pools=False, B=40, seed=5),
         difficulty,
         [
             scaling_comparison(
-                runs, MANIFEST, a, b, level, specific.by_planner(level), difficulty[level]
+                runs, manifest, a, b, level, specific.by_planner(level), difficulty[level]
             )
             for a, b in all_pairs(PLANNERS)
             for level in LEVELS
@@ -72,3 +76,11 @@ def expected():
 @given(st.permutations(ROWS))
 def test_shuffled_rows_give_equal_results(rows):
     assert analyses_of(rows) == expected()
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(len(PLANNERS))))[1:])
+def test_permuted_manifest_planners_give_equal_results(order):
+    doc = json.loads((SAMPLE / "manifest.json").read_text(encoding="utf-8"))
+    doc["planners"] = [doc["planners"][i] for i in order]
+    runs = read_runs(io.StringIO("".join([HEADER] + ROWS)))
+    assert analyses(runs, parse_manifest(doc)) == expected()

@@ -1,0 +1,309 @@
+"""The grid-based analyses equal a per-key scan of the records.
+
+Each reference below walks the manifest's problems a record at a time and
+looks every (planner, domain, level, problem) key up in a dict where the
+last record with a key wins.  Generated datasets repeat keys, name
+planners missing from the manifest, leave quality fields out of solved
+rows, keep values on unsolved rows, mix maximize and minimize sets and use
+metric 0.0.
+"""
+
+import csv
+import io
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planstats.agreement import judge_ranks
+from planstats.dataio import (
+    Diagnostic,
+    Level,
+    QualityDirection,
+    RunRecord,
+    RunTable,
+    SizeClass,
+    parse_manifest,
+    sizes_faced,
+    validate_dataset,
+)
+from planstats.pairwise import (
+    MEASURE_FIELDS,
+    Measure,
+    NoProblems,
+    PairingMode,
+    PlannerNotInLevel,
+    build_pairs,
+)
+from planstats.ranking import WORST, is_worst, rank_ascending
+from planstats.report import UnknownCell, fmt_float, series_csv
+
+PLANNERS = ("a", "b", "c")
+DOMAINS = ("d1", "d2")
+LEVELS = (Level.STRIPS, Level.NUMERIC)
+PREFIX = {"small": "p", "large": "L"}
+
+
+def index(runs):
+    by_key = {}
+    for r in runs:
+        by_key[r.key] = r
+    return by_key
+
+
+def solve_time(by_key, planner, domain, level, problem):
+    rec = by_key.get((planner, domain, level, problem))
+    return float(rec.time_ms) if rec is not None and rec.solved else None
+
+
+def measure_value(record, measure, direction, negate_maximize):
+    if record is None or not record.solved:
+        return WORST
+    field = getattr(record, MEASURE_FIELDS[measure])
+    if field is None:
+        return WORST
+    value = float(field)
+    if (
+        measure is Measure.QUALITY_METRIC
+        and direction is QualityDirection.MAXIMIZE
+        and negate_maximize
+    ):
+        return -value
+    return value
+
+
+def check_entered(manifest, name, level):
+    entry = manifest.planner(name)
+    if entry is None or level not in entry.levels_entered:
+        raise PlannerNotInLevel(name)
+
+
+def reference_pairs(runs, manifest, a, b, level, measure, mode, size_class, negate_maximize):
+    check_entered(manifest, a, level)
+    check_entered(manifest, b, level)
+    sets = manifest.sets_at(level=level, size_class=size_class)
+    if not sets:
+        raise NoProblems(level)
+    by_key = index(runs)
+    pairs = []
+    for ps in sets:
+        for problem in ps.problems:
+            rec_a = by_key.get((a, ps.domain, level, problem))
+            rec_b = by_key.get((b, ps.domain, level, problem))
+            solved_a = rec_a is not None and rec_a.solved
+            solved_b = rec_b is not None and rec_b.solved
+            if not (solved_a or solved_b):
+                continue
+            va = measure_value(rec_a, measure, ps.quality_direction, negate_maximize)
+            vb = measure_value(rec_b, measure, ps.quality_direction, negate_maximize)
+            if mode is PairingMode.DOUBLE_HITS and (is_worst(va) or is_worst(vb)):
+                continue
+            pairs.append((va, vb))
+    return pairs
+
+
+def reference_judge_ranks(runs, manifest, planner, domain, level, size_class):
+    check_entered(manifest, planner, level)
+    (ps,) = manifest.sets_at(level=level, size_class=size_class, domain=domain)
+    by_key = index(runs)
+    times = [solve_time(by_key, planner, domain, level, p) for p in ps.problems]
+    return rank_ascending([WORST if t is None else t for t in times])
+
+
+def reference_series(runs, manifest, domain, level, measure, size_class):
+    (ps,) = manifest.sets_at(level=level, size_class=size_class, domain=domain)
+    by_key = index(runs)
+    at_cell = {r.planner for r in runs if (r.domain, r.level) == (domain, level)}
+    planners = sorted(
+        p for p in at_cell if any((p, domain, level, q) in by_key for q in ps.problems)
+    )
+
+    def value(rec):
+        if rec is None or not rec.solved:
+            return ""
+        field = getattr(rec, MEASURE_FIELDS[measure])
+        if field is None:
+            return ""
+        return str(field) if measure is Measure.SPEED else fmt_float(float(field))
+
+    direction = ps.quality_direction.value if measure is Measure.QUALITY_METRIC else "minimize"
+    out = io.StringIO()
+    out.write(f"# direction={direction}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["problem"] + planners)
+    for problem in ps.problems:
+        writer.writerow(
+            [problem] + [value(by_key.get((p, domain, level, problem))) for p in planners]
+        )
+    return out.getvalue()
+
+
+def reference_validate(runs, manifest):
+    diagnostics = []
+    for record in runs:
+        entry = manifest.planner(record.planner)
+        if entry is None:
+            diagnostics.append(
+                Diagnostic(
+                    "UnknownPlanner",
+                    "error",
+                    f"record {record.key} references planner {record.planner!r} "
+                    "not declared in the manifest",
+                )
+            )
+            continue
+        if manifest.resolve(record.domain, record.level, record.problem) is None:
+            diagnostics.append(
+                Diagnostic(
+                    "UnknownProblem",
+                    "error",
+                    f"record {record.key} references a problem not in any problem set",
+                )
+            )
+        if record.level not in entry.levels_entered:
+            diagnostics.append(
+                Diagnostic(
+                    "LevelNotEntered",
+                    "error",
+                    f"planner {record.planner!r} has a record at level "
+                    f"{record.level.value} it did not enter",
+                )
+            )
+    by_key = index(runs)
+    for entry in manifest.planners:
+        sizes = sizes_faced(entry.category)
+        available = {
+            (ps.domain, ps.level, p)
+            for ps in manifest.problem_sets
+            if ps.level in entry.levels_entered and ps.size_class in sizes
+            for p in ps.problems
+        }
+        if not available:
+            continue
+        records = [by_key.get((entry.name, *key)) for key in available]
+        n_attempted = sum(r is not None for r in records)
+        n_solved = sum(r is not None and r.solved for r in records)
+        diagnostics.append(
+            Diagnostic(
+                "Coverage",
+                "info",
+                f"planner {entry.name} attempted {n_attempted} and solved {n_solved} "
+                f"of {len(available)} available problems",
+            )
+        )
+    return diagnostics
+
+
+def outcome(f, *args, **kwargs):
+    """repr of a call's result, or the type of what it raised."""
+    try:
+        return repr(f(*args, **kwargs))
+    except Exception as exc:  # both sides must fail alike
+        return type(exc)
+
+
+KEYS = list(itertools.product(PLANNERS + ("ghost",), DOMAINS, LEVELS,
+                               ["p0", "p1", "p2", "p3", "L0", "L1", "L4"]))
+
+
+# a planner enters both levels half the time
+LEVEL_CHOICES = [[], ["strips"], ["numeric"]] + [["strips", "numeric"]] * 3
+SMALL = [None, 0, 1, 2, 3, 5, 6]
+METRICS = [None, 0.0, -0.0, 1.5, 2.0, -3.25]
+CODES = 2 * len(SMALL) ** 3 * len(METRICS)
+
+
+def record(key, code):
+    """The record a key and a code in range(CODES) stand for: one draw, not
+    six.  A solved record has a time, as the loader requires."""
+    code, solved = divmod(code, 2)
+    code, time_ms = divmod(code, len(SMALL))
+    code, metric = divmod(code, len(METRICS))
+    conc, seq = divmod(code, len(SMALL))
+    time_ms = SMALL[time_ms]
+    return RunRecord(*key, bool(solved) and time_ms is not None, time_ms, METRICS[metric],
+                     SMALL[seq], SMALL[conc])
+
+
+@st.composite
+def datasets(draw):
+    often = st.integers(0, 4).map(bool)
+    planners = [
+        {
+            "name": name,
+            "category": draw(st.sampled_from(["fully-automated", "hand-coded"])),
+            "levels": draw(st.sampled_from(LEVEL_CHOICES)),
+        }
+        for name in PLANNERS
+        if draw(often)
+    ]
+    sets = [
+        {
+            "domain": domain,
+            "level": level.value,
+            "size_class": size,
+            "quality_direction": draw(st.sampled_from(["minimize", "maximize"])),
+            "problems": [f"{PREFIX[size]}{i}" for i in range(draw(st.integers(1, 4)))],
+        }
+        for domain, level, size in itertools.product(DOMAINS, LEVELS, PREFIX)
+        if draw(often)
+    ]
+    manifest = parse_manifest({"planners": planners, "problem_sets": sets})
+    codes = st.tuples(st.sampled_from(KEYS), st.integers(0, CODES - 1))
+    records = [record(*drawn) for drawn in draw(st.lists(codes, min_size=20, max_size=100))]
+    return records, manifest
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_build_pairs_equals_per_key_scan(dataset):
+    runs, manifest = dataset
+    table = RunTable.of(runs)
+    for a, b in itertools.permutations(PLANNERS, 2):
+        for level, size, measure, mode, negate in itertools.product(
+            LEVELS, SizeClass, Measure, PairingMode, (True, False)
+        ):
+            args = (manifest, a, b, level, measure, mode, size)
+            got = outcome(build_pairs, table, *args, negate_maximize=negate)
+            assert got == outcome(reference_pairs, runs, *args, negate), (args, negate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_judge_ranks_and_series_equal_per_key_scan(dataset):
+    runs, manifest = dataset
+    table = RunTable.of(runs)
+    for ps in manifest.problem_sets:
+        cell = (ps.domain, ps.level, ps.size_class)
+        for planner in PLANNERS:
+            assert outcome(judge_ranks, table, manifest, planner, *cell) == outcome(
+                reference_judge_ranks, runs, manifest, planner, *cell
+            )
+        for measure in Measure:
+            got = series_csv(table, manifest, ps.domain, ps.level, measure, ps.size_class)
+            assert got == reference_series(runs, manifest, ps.domain, ps.level, measure,
+                                           ps.size_class)
+    assert outcome(series_csv, table, manifest, "nowhere", Level.STRIPS, Measure.SPEED) \
+        is UnknownCell
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_validate_dataset_equals_per_key_scan(dataset):
+    runs, manifest = dataset
+    assert validate_dataset(runs, manifest) == reference_validate(runs, manifest)
+
+
+def test_grid_follows_the_manifest_it_is_asked_for():
+    doc = {
+        "planners": [{"name": "a", "category": "fully-automated", "levels": ["strips"]}],
+        "problem_sets": [{"domain": "d", "level": "strips", "size_class": "small",
+                          "quality_direction": "minimize", "problems": ["p1", "p2"]}],
+    }
+    runs = RunTable.of([RunRecord("a", "d", Level.STRIPS, "p2", True, 7)])
+    first = runs.grid(parse_manifest(doc), Level.STRIPS, SizeClass.SMALL)
+    doc["problem_sets"][0]["problems"] = ["p2"]
+    second = runs.grid(parse_manifest(doc), Level.STRIPS, SizeClass.SMALL)
+    assert first.index.tolist() == [[-1, 0]]
+    assert second.index.tolist() == [[0]]
+    assert second.values["time_ms"].tolist() == [[7.0]]
