@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from planstats.cli import main as planstats_main
-from planstats.dataio import load_manifest
+from planstats.cli import CATEGORIES, main as planstats_main, quality_channels
+from planstats.dataio import DataError, load_manifest
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     parser.add_argument("--runs", required=True)
     parser.add_argument("--manifest", required=True)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--category", choices=("auto", "hand"), default="auto")
+    parser.add_argument("--category", choices=sorted(CATEGORIES), default="auto")
     parser.add_argument("--seed", type=int)
     args = parser.parse_args()
 
@@ -32,10 +32,14 @@ def main():
 
     commands = [["validate"], ["compare"], ["order"], ["order", "--cross"],
                 ["hardness"], ["agreement"], ["scaling"]]
-    # one value series per populated cell, using the level's natural channel
-    manifest = load_manifest(args.manifest)
+    try:
+        manifest = load_manifest(args.manifest)
+    except (DataError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    # one value series per populated cell, in the level's first quality channel
     for ps in manifest.problem_sets:
-        measure = "seq" if ps.level.value == "strips" else "metric"
+        measure = quality_channels(ps.level)[0].value
         commands.append(["series", "--domain", ps.domain, "--level", ps.level.value,
                          "--measure", measure, "--size", ps.size_class.value])
 

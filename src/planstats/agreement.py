@@ -81,7 +81,7 @@ def _eligible_judges(
     span = grid.spans[domain]
     attempted = grid.present[:, span].sum(axis=1).tolist()
     judges, excluded = [], []
-    for entry in sorted(manifest.planners_in(category, level), key=lambda p: p.name):
+    for entry in manifest.planners_in(category, level):
         n_attempted = attempted[grid.rows[entry.name]]
         if n_attempted == 0:
             continue

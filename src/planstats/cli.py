@@ -59,14 +59,7 @@ from .report import (
 )
 from .stattests import DegenerateStatisticWarning, NonPositiveValue, TooFewPairs
 
-MEASURES = {
-    "speed": Measure.SPEED,
-    "metric": Measure.QUALITY_METRIC,
-    "seq": Measure.QUALITY_SEQ,
-    "conc": Measure.QUALITY_CONC,
-}
 CATEGORIES = {"auto": Category.FULLY_AUTOMATED, "hand": Category.HAND_CODED}
-SIZES = {"small": SizeClass.SMALL, "large": SizeClass.LARGE}
 # the config field --alpha sets; other commands set alpha_pairwise
 ALPHA_FIELDS = {"agreement": "alpha_agreement", "scaling": "alpha_scaling"}
 
@@ -77,10 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--manifest", required=True, help="manifest JSON file")
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--level", choices=[lv.value for lv in Level], help="restrict to one level")
-    common.add_argument("--measure", choices=sorted(MEASURES),
+    common.add_argument("--measure", choices=sorted(m.value for m in Measure),
                         help="default: speed plus the level's quality channels")
     common.add_argument("--category", choices=sorted(CATEGORIES), default="auto")
-    common.add_argument("--size", choices=sorted(SIZES), help="problem size class")
+    common.add_argument("--size", choices=sorted(s.value for s in SizeClass),
+                        help="problem size class")
     common.add_argument("--alpha", type=float, help="significance level for this command")
     common.add_argument("--seed", type=int, help="bootstrap seed")
     common.add_argument("--out", help="output directory (default: current)")
@@ -150,36 +144,32 @@ def _write_table(config, dataset_hash, command, extra, text, rows) -> list[str]:
     return header
 
 
-def _levels_for(
-    args, manifest: Manifest, category: Category, cross: bool = False
-) -> list[Level]:
-    if args.level:
-        return [Level.parse(args.level)]
-    levels = []
-    for lv in manifest.levels():
-        if len(_pair_names(manifest, category, lv, cross)) >= 2:
-            levels.append(lv)
-    return levels
+def _levels_for(args, manifest: Manifest) -> list[Level]:
+    return [Level.parse(args.level)] if args.level else manifest.levels()
 
 
 def _sizes_for(args, category: Category) -> tuple[SizeClass, ...]:
-    return (SIZES[args.size],) if args.size else sizes_faced(category)
+    return (SizeClass(args.size),) if args.size else sizes_faced(category)
 
 
 def _pair_names(manifest: Manifest, category: Category, level: Level, cross: bool) -> list[str]:
     if cross:
         return sorted(p.name for p in manifest.planners if level in p.levels_entered)
-    return sorted(p.name for p in manifest.planners_in(category, level))
+    return [p.name for p in manifest.planners_in(category, level)]
+
+
+def quality_channels(level: Level) -> tuple[Measure, ...]:
+    """A level's default quality measures: plan lengths for strips, the
+    problem metric elsewhere."""
+    if level is Level.STRIPS:
+        return (Measure.QUALITY_SEQ, Measure.QUALITY_CONC)
+    return (Measure.QUALITY_METRIC,)
 
 
 def _measures_for(args, level: Level) -> list[Measure]:
     if args.measure:
-        return [MEASURES[args.measure]]
-    # quality channel defaults: plan lengths for strips, the problem
-    # metric elsewhere
-    if level is Level.STRIPS:
-        return [Measure.SPEED, Measure.QUALITY_SEQ, Measure.QUALITY_CONC]
-    return [Measure.SPEED, Measure.QUALITY_METRIC]
+        return [Measure(args.measure)]
+    return [Measure.SPEED, *quality_channels(level)]
 
 
 def _hardness_table(runs, manifest, category, size, config, level_specific):
@@ -200,7 +190,7 @@ def _pair_cells(args, manifest: Manifest):
     """Every compare/order cell with at least two planners and a problem
     set: yields (names, level, measure, size, extra)."""
     category = CATEGORIES[args.category]
-    for level in _levels_for(args, manifest, category, args.cross):
+    for level in _levels_for(args, manifest):
         names = _pair_names(manifest, category, level, args.cross)
         for size in _sizes_for(args, category):
             if len(names) < 2 or not manifest.sets_at(level=level, size_class=size):
@@ -284,7 +274,7 @@ def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> in
     category = CATEGORIES[args.category]
     results = agreement_mod.agreement_table(runs, manifest, category, config.alpha_agreement)
     if args.size:
-        results = [r for r in results if r.size_class is SIZES[args.size]]
+        results = [r for r in results if r.size_class is SizeClass(args.size)]
     if args.level:
         results = [r for r in results if r.level is Level.parse(args.level)]
     extra = {"category": args.category}
@@ -297,7 +287,7 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
         table = _hardness_table(runs, manifest, category, size, config, level_specific=True)
-        for level in _levels_for(args, manifest, category):
+        for level in _levels_for(args, manifest):
             verdicts = table.by_planner(level)
             names = _pair_names(manifest, category, level, False)
             if len(names) < 2:
@@ -325,12 +315,12 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
 
 
 def cmd_series(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
-    measure = MEASURES[args.measure or "speed"]
+    measure = Measure(args.measure) if args.measure else Measure.SPEED
     if not args.level:
         print("series: --level is required", file=sys.stderr)
         return 2
     level = Level.parse(args.level)
-    size = SIZES[args.size] if args.size else SizeClass.SMALL
+    size = SizeClass(args.size) if args.size else SizeClass.SMALL
     extra = {
         "domain": args.domain,
         "level": level.value,

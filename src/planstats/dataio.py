@@ -1,6 +1,7 @@
 """Run-record data model, competition manifest, and the file formats.
 
-The runs file is a CSV with the exact header::
+The runs file is a CSV whose header is exactly the fields of
+:class:`RunRecord`, in their order (``RUNS_HEADER``)::
 
     planner,domain,level,problem,solved,time_ms,metric_value,seq_length,conc_length
 
@@ -21,25 +22,12 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-
-RUNS_HEADER = (
-    "planner",
-    "domain",
-    "level",
-    "problem",
-    "solved",
-    "time_ms",
-    "metric_value",
-    "seq_length",
-    "conc_length",
-)
-
 
 class DataError(ValueError):
     """Base class for all data-file format errors."""
@@ -138,6 +126,10 @@ class RunRecord:
         return (self.planner, self.domain, self.level, self.problem)
 
 
+# the runs CSV's columns; a RunTable holds one column per record field
+RUNS_HEADER = tuple(f.name for f in fields(RunRecord))
+
+
 @dataclass(frozen=True)
 class PlannerEntry:
     name: str
@@ -180,11 +172,10 @@ class Manifest:
     def planner(self, name: str) -> PlannerEntry | None:
         return self._by_name.get(name)
 
-    def planners_in(self, category: Category, level: Level | None = None) -> list[PlannerEntry]:
-        out = [p for p in self.planners if p.category == category]
-        if level is not None:
-            out = [p for p in out if level in p.levels_entered]
-        return out
+    def planners_in(self, category: Category, level: Level) -> list[PlannerEntry]:
+        """The category's planners that entered ``level``, in name order."""
+        ps = [p for p in self.planners if p.category == category and level in p.levels_entered]
+        return sorted(ps, key=lambda p: p.name)
 
     def sets_at(
         self,

@@ -226,7 +226,7 @@ def _pool_timings(
     runs = RunTable.of(runs)
     per_problem: list[np.ndarray] = []
     for ps in manifest.sets_at(level=pool_kind.level, size_class=size_class):
-        eligible = sorted(p.name for p in manifest.planners_in(category, ps.level))
+        eligible = [p.name for p in manifest.planners_in(category, ps.level)]
         if not eligible:
             continue
         grid = runs.grid(manifest, ps.level, size_class)
@@ -472,8 +472,7 @@ def hardness_table(
             if ps.domain in grid.spans
             for name in grid.attempted(grid.spans[ps.domain])
         }
-        planners = manifest.planners_in(category, ps.level)
-        for entry in sorted(planners, key=lambda p: p.name):
+        for entry in manifest.planners_in(category, ps.level):
             if entry.name not in attempted:
                 continue
             dist = dist_for(ps.level)

@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .agreement import AgreementResult
 from .dataio import (
@@ -29,16 +29,6 @@ from .hardness import HardnessTable, RNG_NAME
 from .ordering import PartialOrder, to_dot
 from .pairwise import MEASURE_FIELDS, ComparisonResult, MagnitudeResult, Measure
 from .scaling import IncomparableReason, ScalingResult, Verdict
-
-LEVEL_ORDER = (
-    Level.STRIPS,
-    Level.NUMERIC,
-    Level.HARD_NUMERIC,
-    Level.SIMPLE_TIME,
-    Level.TIME,
-    Level.COMPLEX,
-)
-
 
 class UnknownCell(ValueError):
     """The requested (domain, level, size class) cell does not exist."""
@@ -128,26 +118,16 @@ def metadata_lines(
     items: list[tuple[str, str]] = [("command", command)]
     if extra:
         items.extend(sorted(extra.items()))
-    items.extend(
-        [
-            ("alpha_pairwise", repr(config.alpha_pairwise)),
-            ("alpha_magnitude", repr(config.alpha_magnitude)),
-            ("alpha_agreement", repr(config.alpha_agreement)),
-            ("alpha_scaling", repr(config.alpha_scaling)),
-            ("bootstrap_B", str(config.bootstrap_B)),
-            ("bootstrap_m", str(config.bootstrap_m)),
-            ("cutoff_ms", str(config.cutoff_ms)),
-            ("seed", str(config.seed)),
-            ("rng", RNG_NAME),
-            ("dataset_sha256", dataset_hash),
-        ]
-    )
+    # every config field but the output directory, in declaration order
+    items += [
+        (f.name, str(getattr(config, f.name))) for f in fields(config) if f.name != "output_dir"
+    ]
+    items += [("rng", RNG_NAME), ("dataset_sha256", dataset_hash)]
     return [f"{comment} {key}={value}" for key, value in items]
 
 
+# Every format spec used here writes an infinity as "inf" or "-inf".
 def fmt_stat(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     if abs(value) >= 10:
         return f"{value:.1f}"
     return f"{value:.2g}"
@@ -162,8 +142,6 @@ def fmt_p(p: float, alpha: float) -> str:
 
 
 def fmt_float(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return f"{value:.10g}"
 
 
@@ -234,8 +212,7 @@ def render_compare_text(
         means = (
             f"{m.planner_a} {t.mean_first_norm:.2f} / {m.planner_b} {t.mean_second_norm:.2f}"
         )
-        t_text = "inf" if math.isinf(t.t) else f"{t.t:.2f}"
-        cell = f"{t_text},{t.df}"
+        cell = f"{t.t:.2f},{t.df}"
         p_text = fmt_p(t.p_two_sided, alpha_magnitude)
         if t.p_two_sided > alpha_magnitude:
             cell = f"**{cell}**"
@@ -248,87 +225,55 @@ def render_compare_text(
     return out.getvalue()
 
 
+def _csv_rows(columns: Sequence[tuple[str, Callable]], items: Iterable) -> list[list[str]]:
+    """A header row of the column names, then one row per item holding each
+    column's value of it."""
+    header = [name for name, _ in columns]
+    return [header] + [[cell(item) for _, cell in columns] for item in items]
+
+
+_COMPARISON_COLUMNS = (
+    ("planner_a", lambda r: r.planner_a),
+    ("planner_b", lambda r: r.planner_b),
+    ("level", lambda r: r.level.value),
+    ("measure", lambda r: r.measure.value),
+    ("mode", lambda r: r.mode.value),
+    ("size_class", lambda r: r.size_class.value),
+    ("n", lambda r: str(r.n)),
+    ("wilcoxon_z", lambda r: fmt_float(r.wilcoxon.z)),
+    ("wilcoxon_p", lambda r: fmt_float(r.wilcoxon.p_two_sided)),
+    ("favored", lambda r: r.favored_planner or ""),
+    ("prop_wins", lambda r: str(r.proportion.wins)),
+    ("prop_n", lambda r: str(r.proportion.n)),
+    ("prop_z", lambda r: fmt_float(r.proportion.z)),
+    ("prop_p", lambda r: fmt_float(r.proportion.p_two_sided)),
+    ("significant_at", lambda r: "" if r.significant_at is None else repr(r.significant_at)),
+    ("too_small", lambda r: "1" if r.too_small else "0"),
+)
+
+
 def comparisons_csv_rows(results: Sequence[ComparisonResult]) -> list[list[str]]:
-    rows = [
-        [
-            "planner_a",
-            "planner_b",
-            "level",
-            "measure",
-            "mode",
-            "size_class",
-            "n",
-            "wilcoxon_z",
-            "wilcoxon_p",
-            "favored",
-            "prop_wins",
-            "prop_n",
-            "prop_z",
-            "prop_p",
-            "significant_at",
-            "too_small",
-        ]
-    ]
-    for r in results:
-        rows.append(
-            [
-                r.planner_a,
-                r.planner_b,
-                r.level.value,
-                r.measure.value,
-                r.mode.value,
-                r.size_class.value,
-                str(r.n),
-                fmt_float(r.wilcoxon.z),
-                fmt_float(r.wilcoxon.p_two_sided),
-                r.favored_planner or "",
-                str(r.proportion.wins),
-                str(r.proportion.n),
-                fmt_float(r.proportion.z),
-                fmt_float(r.proportion.p_two_sided),
-                "" if r.significant_at is None else repr(r.significant_at),
-                "1" if r.too_small else "0",
-            ]
-        )
-    return rows
+    return _csv_rows(_COMPARISON_COLUMNS, results)
+
+
+_MAGNITUDE_COLUMNS = (
+    ("planner_a", lambda m: m.planner_a),
+    ("planner_b", lambda m: m.planner_b),
+    ("level", lambda m: m.level.value),
+    ("measure", lambda m: m.measure.value),
+    ("size_class", lambda m: m.size_class.value),
+    ("n", lambda m: str(m.n)),
+    ("mean_a_norm", lambda m: fmt_float(m.t_result.mean_first_norm)),
+    ("mean_b_norm", lambda m: fmt_float(m.t_result.mean_second_norm)),
+    ("t", lambda m: fmt_float(m.t_result.t)),
+    ("df", lambda m: str(m.t_result.df)),
+    ("p", lambda m: fmt_float(m.t_result.p_two_sided)),
+    ("direction", lambda m: m.direction.value),
+)
 
 
 def magnitudes_csv_rows(results: Sequence[MagnitudeResult]) -> list[list[str]]:
-    rows = [
-        [
-            "planner_a",
-            "planner_b",
-            "level",
-            "measure",
-            "size_class",
-            "n",
-            "mean_a_norm",
-            "mean_b_norm",
-            "t",
-            "df",
-            "p",
-            "direction",
-        ]
-    ]
-    for m in results:
-        t = m.t_result
-        rows.append(
-            [
-                m.planner_a,
-                m.planner_b,
-                m.level.value,
-                m.measure.value,
-                m.size_class.value,
-                str(m.n),
-                fmt_float(t.mean_first_norm),
-                fmt_float(t.mean_second_norm),
-                fmt_float(t.t),
-                str(t.df),
-                fmt_float(t.p_two_sided),
-                m.direction.value,
-            ]
-        )
-    return rows
+    return _csv_rows(_MAGNITUDE_COLUMNS, results)
 
 
 def csv_text(rows: Sequence[Sequence[str]], header_lines: Sequence[str] = ()) -> str:
@@ -342,11 +287,16 @@ def csv_text(rows: Sequence[Sequence[str]], header_lines: Sequence[str] = ()) ->
 
 def _levels_in(items, key) -> list[Level]:
     present = {key(item) for item in items}
-    return [lv for lv in LEVEL_ORDER if lv in present]
+    return [lv for lv in Level if lv in present]
+
+
+# the per-planner extremes: each label with its percentile test
+_EXTREMES = (("easy", lambda p: p <= 0.05), ("hard", lambda p: p >= 0.95))
 
 
 def render_hardness_text(specific: HardnessTable, independent: HardnessTable) -> str:
     out = io.StringIO()
+    pools = ((specific, "level-specific pools"), (independent, "level-independent pool"))
     verdicts = list(specific.verdicts) + list(independent.verdicts)
     domains = sorted({v.domain for v in verdicts})
     levels = _levels_in(verdicts, lambda v: v.level)
@@ -358,7 +308,7 @@ def render_hardness_text(specific: HardnessTable, independent: HardnessTable) ->
         return {lv: len(names) for lv, names in counts.items()}
 
     out.write("== easy/hard counts per domain (easy/hard, n planners in brackets) ==\n")
-    for table, caption in ((specific, "level-specific pools"), (independent, "level-independent pool")):
+    for table, caption in pools:
         out.write(f"-- {caption} --\n")
         per_level = planners_per_level(table)
         header = ["domain"] + [
@@ -376,66 +326,42 @@ def render_hardness_text(specific: HardnessTable, independent: HardnessTable) ->
         out.write("\n")
 
     out.write("== per-planner extremes (percentile <= 0.05 or >= 0.95) ==\n")
-    for table, caption in ((specific, "level-specific pools"), (independent, "level-independent pool")):
+    for table, caption in pools:
         out.write(f"-- {caption} --\n")
         for planner in sorted({v.planner for v in table.verdicts}):
-            easy = [
-                v
-                for v in table.verdicts
-                if v.planner == planner and v.percentile <= 0.05
-            ]
-            hard = [
-                v
-                for v in table.verdicts
-                if v.planner == planner and v.percentile >= 0.95
-            ]
-            if not easy and not hard:
-                continue
-            out.write(f"{planner}:\n")
-            if easy:
+            own = sorted(
+                (v for v in table.verdicts if v.planner == planner),
+                key=lambda v: (v.domain, v.level.value),
+            )
+            lines = []
+            for label, extreme in _EXTREMES:
                 cells = ", ".join(
                     f"{v.domain}/{v.level.value} {v.percentile:.4g}"
-                    for v in sorted(easy, key=lambda v: (v.domain, v.level.value))
+                    for v in own
+                    if extreme(v.percentile)
                 )
-                out.write(f"  easy: {cells}\n")
-            if hard:
-                cells = ", ".join(
-                    f"{v.domain}/{v.level.value} {v.percentile:.4g}"
-                    for v in sorted(hard, key=lambda v: (v.domain, v.level.value))
-                )
-                out.write(f"  hard: {cells}\n")
+                if cells:
+                    lines.append(f"  {label}: {cells}\n")
+            if lines:
+                out.write(f"{planner}:\n" + "".join(lines))
         out.write("\n")
     return out.getvalue()
 
 
+_HARDNESS_COLUMNS = (
+    ("planner", lambda v: v.planner),
+    ("domain", lambda v: v.domain),
+    ("level", lambda v: v.level.value),
+    ("size_class", lambda v: v.size_class.value),
+    ("pool", lambda v: v.pool_kind.label),
+    ("area_ms", lambda v: fmt_float(v.area_ms)),
+    ("percentile", lambda v: fmt_float(v.percentile)),
+    ("classification", lambda v: v.classification.value),
+)
+
+
 def hardness_csv_rows(tables: Sequence[HardnessTable]) -> list[list[str]]:
-    rows = [
-        [
-            "planner",
-            "domain",
-            "level",
-            "size_class",
-            "pool",
-            "area_ms",
-            "percentile",
-            "classification",
-        ]
-    ]
-    for table in tables:
-        for v in table.verdicts:
-            rows.append(
-                [
-                    v.planner,
-                    v.domain,
-                    v.level.value,
-                    v.size_class.value,
-                    v.pool_kind.label,
-                    fmt_float(v.area_ms),
-                    fmt_float(v.percentile),
-                    v.classification.value,
-                ]
-            )
-    return rows
+    return _csv_rows(_HARDNESS_COLUMNS, (v for table in tables for v in table.verdicts))
 
 
 def render_agreement_text(results: Sequence[AgreementResult]) -> str:
@@ -457,8 +383,7 @@ def render_agreement_text(results: Sequence[AgreementResult]) -> str:
                 if r is None:
                     row.append("-")
                     continue
-                f_text = "inf" if math.isinf(r.mrc.F) else f"{r.mrc.F:.3g}"
-                cell = f"F({r.mrc.df[0]},{r.mrc.df[1]})={f_text}"
+                cell = f"F({r.mrc.df[0]},{r.mrc.df[1]})={r.mrc.F:.3g}"
                 if not r.significant:
                     cell = f"**{cell}**"
                 row.append(cell)
@@ -468,23 +393,21 @@ def render_agreement_text(results: Sequence[AgreementResult]) -> str:
     return out.getvalue()
 
 
+_AGREEMENT_COLUMNS = (
+    ("domain", lambda r: r.domain),
+    ("level", lambda r: r.level.value),
+    ("size_class", lambda r: r.size_class.value),
+    ("F", lambda r: fmt_float(r.mrc.F)),
+    ("df1", lambda r: str(r.mrc.df[0])),
+    ("df2", lambda r: str(r.mrc.df[1])),
+    ("p", lambda r: fmt_float(r.mrc.p)),
+    ("significant", lambda r: "1" if r.significant else "0"),
+    ("judges", lambda r: ";".join(r.judges)),
+)
+
+
 def agreement_csv_rows(results: Sequence[AgreementResult]) -> list[list[str]]:
-    rows = [["domain", "level", "size_class", "F", "df1", "df2", "p", "significant", "judges"]]
-    for r in results:
-        rows.append(
-            [
-                r.domain,
-                r.level.value,
-                r.size_class.value,
-                fmt_float(r.mrc.F),
-                str(r.mrc.df[0]),
-                str(r.mrc.df[1]),
-                fmt_float(r.mrc.p),
-                "1" if r.significant else "0",
-                ";".join(r.judges),
-            ]
-        )
-    return rows
+    return _csv_rows(_AGREEMENT_COLUMNS, results)
 
 
 def scaling_symbol(result: ScalingResult) -> str:
@@ -528,22 +451,20 @@ def render_scaling_text(results: Sequence[ScalingResult], level: Level) -> str:
     return out.getvalue()
 
 
+_SCALING_COLUMNS = (
+    ("planner_a", lambda r: r.planner_a),
+    ("planner_b", lambda r: r.planner_b),
+    ("level", lambda r: r.level.value),
+    ("n", lambda r: str(r.n)),
+    ("rho_z", lambda r: "" if r.spearman is None else fmt_float(r.spearman.z)),
+    ("p", lambda r: "" if r.spearman is None else fmt_float(r.spearman.p_two_sided)),
+    ("verdict", lambda r: f"incomparable:{r.reason.value}" if r.reason else r.verdict.value),
+    ("domains", lambda r: ";".join(r.eligible_domains)),
+)
+
+
 def scaling_csv_rows(results: Sequence[ScalingResult]) -> list[list[str]]:
-    rows = [["planner_a", "planner_b", "level", "n", "rho_z", "p", "verdict", "domains"]]
-    for r in results:
-        rows.append(
-            [
-                r.planner_a,
-                r.planner_b,
-                r.level.value,
-                str(r.n),
-                "" if r.spearman is None else fmt_float(r.spearman.z),
-                "" if r.spearman is None else fmt_float(r.spearman.p_two_sided),
-                r.verdict.value if r.reason is None else f"incomparable:{r.reason.value}",
-                ";".join(r.eligible_domains),
-            ]
-        )
-    return rows
+    return _csv_rows(_SCALING_COLUMNS, results)
 
 
 def series_csv(

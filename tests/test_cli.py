@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from planstats import cli, dataio
 from planstats.cli import main
 
-SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "data" / "sample"
 RUNS = str(SAMPLE / "runs.csv")
 MANIFEST = str(SAMPLE / "manifest.json")
 
@@ -295,3 +298,34 @@ class TestMixedCategories:
         # hand-coded hf dominates the automated planners in the cross graph
         assert "hf -> af" in dot
         assert "hf -> as" in dot
+
+
+def test_help_lists_measure_and_size_choices_sorted(capsys):
+    with pytest.raises(SystemExit):
+        invoke("compare", "--help")
+    out = capsys.readouterr().out
+    assert "--measure {conc,metric,seq,speed}" in out
+    assert "--size {large,small}" in out
+
+
+class TestFullAnalysisScript:
+    def run_script(self, tmp_path, monkeypatch, manifest):
+        path = ROOT / "scripts" / "run_full_analysis.py"
+        spec = importlib.util.spec_from_file_location("_run_full_analysis_under_test", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(sys, "argv", ["run_full_analysis.py", "--runs", RUNS,
+                                          "--manifest", str(manifest), "--out", str(tmp_path)])
+        return module.main()
+
+    def test_missing_manifest_exits_2(self, tmp_path, monkeypatch, capsys):
+        assert self.run_script(tmp_path, monkeypatch, tmp_path / "nosuch.json") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert "$ planstats" not in captured.out
+
+    def test_malformed_manifest_exits_2(self, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{not json")
+        assert self.run_script(tmp_path, monkeypatch, manifest) == 2
+        assert capsys.readouterr().err.startswith("input error: invalid JSON")

@@ -15,6 +15,7 @@ from planstats.dataio import (
     Manifest,
     MissingHeader,
     ParseError,
+    RUNS_HEADER,
     RunRecord,
     UnknownLevel,
     load_manifest,
@@ -30,6 +31,10 @@ HEADER = "planner,domain,level,problem,solved,time_ms,metric_value,seq_length,co
 
 def load_text(text):
     return read_runs(io.StringIO(text))
+
+
+def test_header_is_record_fields_in_file_order():
+    assert ",".join(RUNS_HEADER) == HEADER
 
 
 class TestLoadRuns:
@@ -181,6 +186,21 @@ class TestManifest:
         assert len(manifest.planners) == 1
         assert manifest.planners[0].category is Category.FULLY_AUTOMATED
         assert manifest.problem_sets[0].problems == ("p01", "p02")
+
+    def test_planners_in_name_order(self):
+        doc = {
+            "planners": [
+                {"name": "zeta", "category": "fully-automated", "levels": ["strips"]},
+                {"name": "hand", "category": "hand-coded", "levels": ["strips"]},
+                {"name": "alpha", "category": "fully-automated", "levels": ["strips"]},
+                {"name": "absent", "category": "fully-automated", "levels": ["time"]},
+                {"name": "mid", "category": "fully-automated", "levels": ["strips", "time"]},
+            ],
+            "problem_sets": [pset("d", "strips", 2), pset("d", "time", 2)],
+        }
+        manifest = parse_manifest(doc)
+        names = [p.name for p in manifest.planners_in(Category.FULLY_AUTOMATED, Level.STRIPS)]
+        assert names == ["alpha", "mid", "zeta"]
 
     def test_case_insensitive_level(self):
         manifest = simple_manifest({"a": ["SimpleTime"]}, [pset("d", "SIMPLETIME", 2)])

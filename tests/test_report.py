@@ -3,27 +3,35 @@ import dataclasses
 import pytest
 
 from conftest import pset, run, simple_manifest
-from planstats.dataio import Category, Level, SizeClass
+from planstats.dataio import Category, Level, QualityDirection, SizeClass
 from planstats.hardness import (
     Classification,
     HardnessTable,
     HardnessVerdict,
     level_specific,
 )
-from planstats.pairwise import Measure
+from planstats.pairwise import MagnitudeResult, Measure
 from planstats.report import (
     ReportConfig,
     UnknownCell,
     comparison_cell,
     fmt_p,
     fmt_stat,
+    magnitudes_csv_rows,
     metadata_lines,
+    render_compare_text,
     render_hardness_text,
     scaling_symbol,
     series_csv,
 )
 from planstats.scaling import IncomparableReason, ScalingResult, Verdict
-from planstats.stattests import Favored, ProportionResult, SpearmanResult
+from planstats.stattests import (
+    DegenerateStatisticWarning,
+    Favored,
+    ProportionResult,
+    SpearmanResult,
+    paired_t_normalized,
+)
 from test_ordering import make_comparison
 
 
@@ -69,11 +77,27 @@ class TestFormatting:
         assert fmt_stat(0.051) == "0.051"
         assert fmt_stat(12.26) == "12.3"
         assert fmt_stat(float("inf")) == "inf"
+        assert fmt_stat(float("-inf")) == "-inf"
 
     def test_fmt_p(self):
         assert fmt_p(0.0005, 0.001) == "*"
         assert fmt_p(0.005, 0.001) == "< 0.01"
         assert fmt_p(0.06, 0.001) == "0.06"
+
+
+class TestMagnitudeRendering:
+    def test_negative_infinite_t_keeps_its_sign(self):
+        # second values are twice the first: zero variance, negative mean difference
+        with pytest.warns(DegenerateStatisticWarning):
+            t_result = paired_t_normalized([(1, 2), (2, 4), (3, 6)])
+        assert t_result.t == float("-inf")
+        m = MagnitudeResult("A", "B", Level.STRIPS, Measure.SPEED, SizeClass.SMALL,
+                            3, t_result, QualityDirection.MINIMIZE)
+        text = render_compare_text([], [], [m], 0.001, 0.05)
+        row = next(line for line in text.splitlines() if line.startswith("A-B"))
+        assert row.split()[-2] == "-inf,2"
+        header, csv_row = magnitudes_csv_rows([m])
+        assert csv_row[header.index("t")] == "-inf"
 
 
 def make_verdict(planner, domain, level, pct, classification):
@@ -183,6 +207,15 @@ class TestMetadata:
         assert "# dataset_sha256=abc123" in joined
         assert "# bootstrap_B=10000" in joined
         assert "# rng=" in joined
+
+    def test_header_keys_in_order(self):
+        lines = metadata_lines(ReportConfig(), "abc123", "compare", {"size": "small"})
+        assert [line[2:].partition("=")[0] for line in lines] == [
+            "command", "size", "alpha_pairwise", "alpha_magnitude", "alpha_agreement",
+            "alpha_scaling", "bootstrap_B", "bootstrap_m", "cutoff_ms", "seed", "rng",
+            "dataset_sha256",
+        ]
+        assert "# alpha_pairwise=0.001" in lines
 
     def test_config_validation(self):
         config = ReportConfig(alpha_pairwise=0.7)
