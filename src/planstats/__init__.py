@@ -20,7 +20,16 @@ from .dataio import (
     load_runs,
     validate_dataset,
 )
-from .pairwise import Measure, PairingMode, build_pairs, compare, magnitude, transitive_alpha
+from .pairwise import (
+    Measure,
+    PairingMode,
+    all_pairs,
+    build_pairs,
+    compare,
+    compare_pairs,
+    magnitude,
+    transitive_alpha,
+)
 from .ordering import EdgeKind, PartialOrder, build_order, to_dot
 from .hardness import (
     BootstrapDistribution,

@@ -36,7 +36,8 @@ from .pairwise import (
     Measure,
     PairingMode,
     all_pairs,
-    compare,
+    compare,  # noqa: F401  perfbench/test_perfbench.py checks tracing restores cli.compare
+    compare_pairs,
     magnitude,
 )
 from .report import (
@@ -205,11 +206,17 @@ def _pair_cells(args, manifest: Manifest):
                 yield names, level, measure, size, extra
 
 
+def _consistency(runs, manifest, names, level, measure, size):
+    """The cell's comparisons of every pair: at-least-one, then double-hits."""
+    pairs = all_pairs(names)
+    return [compare_pairs(runs, manifest, pairs, level, measure, mode, size)
+            for mode in (PairingMode.AT_LEAST_ONE, PairingMode.DOUBLE_HITS)]
+
+
 def _pair_results(runs, manifest, names, level, measure, size):
-    alo, dh, mags = [], [], []
+    alo, dh = _consistency(runs, manifest, names, level, measure, size)
+    mags = []
     for a, b in all_pairs(names):
-        alo.append(compare(runs, manifest, a, b, level, measure, PairingMode.AT_LEAST_ONE, size))
-        dh.append(compare(runs, manifest, a, b, level, measure, PairingMode.DOUBLE_HITS, size))
         try:
             mags.append(magnitude(runs, manifest, a, b, level, measure, size))
         except (TooFewPairs, NonPositiveValue):
@@ -241,12 +248,8 @@ def cmd_compare(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
 
 def cmd_order(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     for names, level, measure, size, extra in _pair_cells(args, manifest):
-        results = [
-            compare(runs, manifest, a, b, level, measure, mode, size)
-            for mode in (PairingMode.AT_LEAST_ONE, PairingMode.DOUBLE_HITS)
-            for a, b in all_pairs(names)
-        ]
-        order = build_order(results, alpha=config.alpha_pairwise)
+        alo, dh = _consistency(runs, manifest, names, level, measure, size)
+        order = build_order(alo + dh, alpha=config.alpha_pairwise)
         if args.reduce:
             order = transitive_reduction(order)
         header = metadata_lines(config, dataset_hash, "order", extra, comment="//")

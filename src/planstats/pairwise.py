@@ -5,7 +5,9 @@ WORST sentinel ("infinitely bad"), which the rank-based tests push to the
 extreme of the ranking.  Consistency is tested with the Wilcoxon
 matched-pairs rank-sum test plus a win-proportion Z-test; magnitude with
 a pair-mean-normalized paired t-test restricted to double hits (problems
-solved by both planners).
+solved by both planners).  The consistency tests of a cell's pairs run in
+one pass over its planner × problem grid (:func:`compare_pairs`); the
+magnitude test runs per pair.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .stattests import (
     WilcoxonResult,
     paired_t_normalized,
     proportion_test,
-    wilcoxon_matched_pairs,
+    wilcoxon_rows,
 )
 
 # Wilcoxon normal approximation is meaningless below this many pairs;
@@ -127,6 +129,36 @@ def _check_entered(manifest: Manifest, name: str, level: Level) -> None:
         raise PlannerNotInLevel(f"planner {name!r} did not enter level {level.value}")
 
 
+def _matched(runs, manifest, pairs, level, measure, mode, size_class, *, negate_maximize=True):
+    """Each pair's values over the cell's problems as two pair × problem
+    arrays, first and second planner, and which problems ``mode`` keeps.
+
+    Maximize metrics are negated if asked, and a missing value is WORST.
+
+    Raises:
+        PlannerNotInLevel: if a planner of a pair did not enter the level.
+        NoProblems: if the level/size class has no problem sets.
+    """
+    for pair in pairs:
+        for name in pair:
+            _check_entered(manifest, name, level)
+    grid = RunTable.of(runs).grid(manifest, level, size_class)
+    if not grid.spans:
+        raise NoProblems(f"no {size_class.value} problem sets at level {level.value}")
+    rows = [grid.rows[name] for pair in pairs for name in pair]
+    values = grid.values[MEASURE_FIELDS[measure]][rows]
+    if measure is Measure.QUALITY_METRIC and negate_maximize:
+        values = np.where(grid.maximize, -values, values)
+    values = np.where(np.isnan(values), WORST, values)
+    va, vb = values[0::2], values[1::2]
+    if mode is PairingMode.DOUBLE_HITS:
+        keep = (va != WORST) & (vb != WORST)
+    else:
+        solved = grid.solved[rows]
+        keep = solved[0::2] | solved[1::2]
+    return va, vb, keep
+
+
 def build_pairs(
     runs: Sequence[RunRecord],
     manifest: Manifest,
@@ -151,22 +183,11 @@ def build_pairs(
         PlannerNotInLevel: if either planner did not enter the level.
         NoProblems: if the level/size class has no problem sets.
     """
-    _check_entered(manifest, a, level)
-    _check_entered(manifest, b, level)
-    grid = RunTable.of(runs).grid(manifest, level, size_class)
-    if not grid.spans:
-        raise NoProblems(f"no {size_class.value} problem sets at level {level.value}")
-    rows = [grid.rows[a], grid.rows[b]]
-    values = grid.values[MEASURE_FIELDS[measure]][rows]
-    if measure is Measure.QUALITY_METRIC and negate_maximize:
-        values = np.where(grid.maximize, -values, values)
-    values = np.where(np.isnan(values), WORST, values)
-    if mode is PairingMode.DOUBLE_HITS:
-        keep = (values != WORST).all(axis=0)
-    else:
-        keep = grid.solved[rows].any(axis=0)
-    va, vb = values[:, keep].tolist()
-    return list(zip(va, vb))
+    va, vb, keep = _matched(
+        runs, manifest, [(a, b)], level, measure, mode, size_class,
+        negate_maximize=negate_maximize,
+    )
+    return list(zip(va[keep].tolist(), vb[keep].tolist()))
 
 
 def pair_difference(va: float, vb: float) -> float:
@@ -187,6 +208,67 @@ def pair_difference(va: float, vb: float) -> float:
     return vb - va
 
 
+def compare_pairs(
+    runs: Sequence[RunRecord],
+    manifest: Manifest,
+    pairs: Sequence[tuple[str, str]],
+    level: Level,
+    measure: Measure,
+    mode: PairingMode,
+    size_class: SizeClass = SizeClass.SMALL,
+) -> list[ComparisonResult]:
+    """:func:`compare` for every listed pair of one cell, in one pass.
+
+    One pair × problem matrix holds each pair's signed differences, built
+    by :func:`pair_difference`'s case rule, with the problems the pairing
+    mode leaves out set to zero; :func:`wilcoxon_rows` ranks every row at
+    once.  Returns one result per pair, in the order of ``pairs``.
+
+    Raises:
+        PlannerNotInLevel: if a planner of a pair did not enter the level.
+        NoProblems: if the level/size class has no problem sets.
+    """
+    va, vb, keep = _matched(runs, manifest, pairs, level, measure, mode, size_class)
+    worst_a, worst_b = va == WORST, vb == WORST
+    with np.errstate(invalid="ignore"):
+        diffs = np.where(worst_a, -math.inf, np.where(worst_b, math.inf, vb - va))
+    diffs[(worst_a & worst_b) | ~keep] = 0.0
+    n = keep.sum(axis=1).tolist()
+    wins_a = (diffs > 0).sum(axis=1).tolist()
+    wins_b = (diffs < 0).sum(axis=1).tolist()
+    results = []
+    for (a, b), wilcoxon, n_pair, won_a, won_b in zip(
+        pairs, wilcoxon_rows(diffs, n), n, wins_a, wins_b
+    ):
+        if won_a + won_b == 0:
+            proportion = ProportionResult(wins=0, n=0, z=0.0, p_two_sided=1.0)
+        else:
+            proportion = proportion_test(won_a, won_a + won_b)
+        too_small = n_pair < MIN_REPORTABLE_PAIRS
+        significant_at = None
+        if not too_small:
+            for alpha in ALPHA_LADDER:
+                if wilcoxon.p_two_sided <= alpha:
+                    significant_at = alpha
+                    break
+        results.append(
+            ComparisonResult(
+                planner_a=a,
+                planner_b=b,
+                level=level,
+                measure=measure,
+                mode=mode,
+                size_class=size_class,
+                n=n_pair,
+                wilcoxon=wilcoxon,
+                proportion=proportion,
+                significant_at=significant_at,
+                too_small=too_small,
+            )
+        )
+    return results
+
+
 def compare(
     runs: Sequence[RunRecord],
     manifest: Manifest,
@@ -204,39 +286,7 @@ def compare(
     Samples below MIN_REPORTABLE_PAIRS are flagged ``too_small`` (they are
     reported, but barred from partial orders).
     """
-    pairs = build_pairs(runs, manifest, a, b, level, measure, mode, size_class)
-    n = len(pairs)
-    diffs = [pair_difference(va, vb) for va, vb in pairs]
-    if n == 0:
-        wilcoxon = WilcoxonResult(0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, Favored.NONE)
-    else:
-        wilcoxon = wilcoxon_matched_pairs(diffs)
-    wins_a = sum(1 for d in diffs if d > 0)
-    wins_b = sum(1 for d in diffs if d < 0)
-    if wins_a + wins_b == 0:
-        proportion = ProportionResult(wins=0, n=0, z=0.0, p_two_sided=1.0)
-    else:
-        proportion = proportion_test(wins_a, wins_a + wins_b)
-    too_small = n < MIN_REPORTABLE_PAIRS
-    significant_at = None
-    if not too_small:
-        for alpha in ALPHA_LADDER:
-            if wilcoxon.p_two_sided <= alpha:
-                significant_at = alpha
-                break
-    return ComparisonResult(
-        planner_a=a,
-        planner_b=b,
-        level=level,
-        measure=measure,
-        mode=mode,
-        size_class=size_class,
-        n=n,
-        wilcoxon=wilcoxon,
-        proportion=proportion,
-        significant_at=significant_at,
-        too_small=too_small,
-    )
+    return compare_pairs(runs, manifest, [(a, b)], level, measure, mode, size_class)[0]
 
 
 def magnitude(

@@ -3,7 +3,9 @@
 All tests return structured results carrying the intermediate quantities
 (rank sums, sums of squares, normalized means) as well as the statistic
 and its two-sided p-value, so report renderers can show the same detail
-as the published tables.
+as the published tables.  The matched-pairs rank-sum test also takes a
+matrix with one row of differences per pair (:func:`wilcoxon_rows`), so a
+cell's pairs are tested in one pass.
 
 Sign conventions: a *positive* difference in the Wilcoxon test is a win
 for the first subject; degenerate statistics (zero variance, perfect
@@ -18,6 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .distributions import (
     DomainError,
@@ -164,31 +168,61 @@ def wilcoxon_matched_pairs(differences: Sequence[float]) -> WilcoxonResult:
     differences are ranked with mid-rank ties (+/-inf magnitudes tie at
     the top, implementing the infinitely-bad convention for unsolved
     instances).  If every difference is zero the result is favored NONE
-    with z = 0 and p = 1.
+    with z = 0 and p = 1.  This is a one-row call of :func:`wilcoxon_rows`.
 
     Raises:
         EmptyInput: if no differences are supplied.
+        DomainError: if a difference is NaN.
     """
     if len(differences) == 0:
         raise EmptyInput("wilcoxon_matched_pairs needs at least one difference")
-    if any(math.isnan(d) for d in differences):
+    row = np.array([differences], dtype=float)
+    if np.isnan(row).any():
         raise DomainError("differences must not contain NaN")
-    nonzero = [d for d in differences if d != 0.0]
-    m = len(nonzero)
+    return wilcoxon_rows(row, [len(differences)])[0]
+
+
+def wilcoxon_rows(differences: np.ndarray, n_input: Sequence[int]) -> list[WilcoxonResult]:
+    """The matched-pairs rank-sum test of each row of a difference matrix.
+
+    Zero entries are dropped, so a row with fewer differences than the
+    matrix is wide pads with zeros; ``n_input[i]`` is the number of
+    differences row i stands for.  One sort ranks every row's nonzero
+    absolute differences with mid-rank ties.  Ranks are half-integers, so
+    the rank sums are exact in any summation order, and each row's z and
+    p go through the same scalar formulas as a single test.
+    """
+    magnitudes = np.abs(differences)
+    nonzero = magnitudes != 0.0
+    # dropped entries sort after every magnitude, +inf included
+    keys = np.where(nonzero, magnitudes, np.nan)
+    order = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, order, axis=1)
+    width = keys.shape[1]
+    position = np.arange(width)
+    starts = np.ones(keys.shape, dtype=bool)
+    starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    ends = np.ones(keys.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    # a tie spanning sorted positions i..j (0-based) shares rank (i+j+2)/2
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, position, width - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = (first + last + 2) / 2.0
+    signs = np.take_along_axis(differences, order, axis=1)
+    w_pos = np.where(signs > 0, ranks, 0.0).sum(axis=1)
+    w_neg = np.where(signs < 0, ranks, 0.0).sum(axis=1)
+    m = nonzero.sum(axis=1)
+    return [
+        _wilcoxon_result(n, effective, pos, neg)
+        for n, effective, pos, neg in zip(n_input, m.tolist(), w_pos.tolist(), w_neg.tolist())
+    ]
+
+
+def _wilcoxon_result(n_input: int, m: int, w_pos: float, w_neg: float) -> WilcoxonResult:
+    """The test's statistic, p and direction from the rank sums of m
+    nonzero differences."""
     if m == 0:
-        return WilcoxonResult(
-            n_input=len(differences),
-            n_effective=0,
-            rank_sum_pos=0.0,
-            rank_sum_neg=0.0,
-            T=0.0,
-            z=0.0,
-            p_two_sided=1.0,
-            favored=Favored.NONE,
-        )
-    ranks = rank_ascending([abs(d) for d in nonzero])
-    w_pos = sum(r for r, d in zip(ranks, nonzero) if d > 0)
-    w_neg = sum(r for r, d in zip(ranks, nonzero) if d < 0)
+        return WilcoxonResult(n_input, 0, 0.0, 0.0, 0.0, 0.0, 1.0, Favored.NONE)
     t_stat = min(w_pos, w_neg)
     mean_t = m * (m + 1) / 4.0
     sd_t = math.sqrt(m * (m + 1) * (2 * m + 1) / 24.0)
@@ -200,7 +234,7 @@ def wilcoxon_matched_pairs(differences: Sequence[float]) -> WilcoxonResult:
     else:
         favored = Favored.NONE
     return WilcoxonResult(
-        n_input=len(differences),
+        n_input=n_input,
         n_effective=m,
         rank_sum_pos=w_pos,
         rank_sum_neg=w_neg,

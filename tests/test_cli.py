@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from planstats import cli, dataio
+from planstats import cli, dataio, pairwise
 from planstats.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +67,43 @@ class TestColumnarPath:
         assert invoke("compare", *common(tmp_path)) == 0
         assert loads == [RUNS]
         assert records == []
+
+
+class TestPairBuilding:
+    """compare and order test a cell's pairs in one pass; only magnitude
+    builds a pair's values, once per pair."""
+
+    def _count_build_pairs(self, monkeypatch):
+        calls = []
+        build_pairs = pairwise.build_pairs
+
+        def counting(runs, manifest, a, b, level, measure, mode, size_class, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name,
+                          a, b, level.value, measure.value, size_class.value))
+            return build_pairs(runs, manifest, a, b, level, measure, mode, size_class, **kwargs)
+
+        monkeypatch.setattr(pairwise, "build_pairs", counting)
+        return calls
+
+    def test_compare_builds_each_pair_once_for_magnitude(self, tmp_path, monkeypatch):
+        calls = self._count_build_pairs(monkeypatch)
+        assert invoke("compare", *common(tmp_path)) == 0
+        pairs = []
+        for path in sorted(tmp_path.glob("compare_*.csv")):
+            lines = [x for x in path.read_text().splitlines() if not x.startswith("#")]
+            for row in csv.DictReader(lines):
+                if row["mode"] == "at-least-one":
+                    pairs.append(("magnitude", row["planner_a"], row["planner_b"],
+                                  row["level"], row["measure"], row["size_class"]))
+        assert pairs
+        assert sorted(calls) == sorted(pairs)
+
+    @pytest.mark.parametrize("flags", [(), ("--cross",)])
+    def test_order_builds_no_pairs(self, tmp_path, monkeypatch, flags):
+        calls = self._count_build_pairs(monkeypatch)
+        assert invoke("order", *common(tmp_path, *flags)) == 0
+        assert list(tmp_path.glob("order_*.dot"))
+        assert calls == []
 
 
 class TestCompareCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,21 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pset, run, simple_manifest
-from planstats.dataio import Level
-from planstats.distributions import DomainError
+from planstats.dataio import Level, SizeClass, parse_manifest
+from planstats.distributions import DomainError, two_sided_p_from_z
 from planstats.pairwise import (
+    ALPHA_LADDER,
+    MIN_REPORTABLE_PAIRS,
+    ComparisonResult,
     Measure,
     NoProblems,
     PairingMode,
     PlannerNotInLevel,
     build_pairs,
     compare,
+    compare_pairs,
     magnitude,
     pair_difference,
     transitive_alpha,
 )
-from planstats.ranking import WORST
-from planstats.stattests import Favored, TooFewPairs
+from planstats.ranking import WORST, rank_ascending
+from planstats.stattests import (
+    Favored,
+    ProportionResult,
+    TooFewPairs,
+    WilcoxonResult,
+    proportion_test,
+)
 
 STRIPS = Level.STRIPS
 NUMERIC = Level.NUMERIC
@@ -198,6 +209,125 @@ def test_self_comparison_never_significant(dataset):
     r = compare(runs, manifest, "a", "a", STRIPS, Measure.SPEED, ALO)
     assert r.wilcoxon.p_two_sided > 0.5
     assert r.favored_planner is None
+
+
+def _reference_wilcoxon(differences):
+    """The matched-pairs rank-sum test one pair at a time, by rank_ascending."""
+    nonzero = [d for d in differences if d != 0.0]
+    m = len(nonzero)
+    if m == 0:
+        return WilcoxonResult(len(differences), 0, 0.0, 0.0, 0.0, 0.0, 1.0, Favored.NONE)
+    ranks = rank_ascending([abs(d) for d in nonzero])
+    w_pos = sum(r for r, d in zip(ranks, nonzero) if d > 0)
+    w_neg = sum(r for r, d in zip(ranks, nonzero) if d < 0)
+    t_stat = min(w_pos, w_neg)
+    z = (m * (m + 1) / 4.0 - t_stat) / math.sqrt(m * (m + 1) * (2 * m + 1) / 24.0)
+    if w_pos > w_neg:
+        favored = Favored.FIRST
+    elif w_neg > w_pos:
+        favored = Favored.SECOND
+    else:
+        favored = Favored.NONE
+    return WilcoxonResult(
+        len(differences), m, w_pos, w_neg, t_stat, z, two_sided_p_from_z(z), favored
+    )
+
+
+def _reference_compare(runs, manifest, a, b, level, measure, mode):
+    """One pair's consistency tests composed per pair: build_pairs, then
+    pair_difference, the rank-sum test and the proportion test."""
+    pairs = build_pairs(runs, manifest, a, b, level, measure, mode)
+    diffs = [pair_difference(va, vb) for va, vb in pairs]
+    wins_a = sum(1 for d in diffs if d > 0)
+    wins_b = sum(1 for d in diffs if d < 0)
+    if wins_a + wins_b == 0:
+        proportion = ProportionResult(wins=0, n=0, z=0.0, p_two_sided=1.0)
+    else:
+        proportion = proportion_test(wins_a, wins_a + wins_b)
+    wilcoxon = _reference_wilcoxon(diffs)
+    too_small = len(pairs) < MIN_REPORTABLE_PAIRS
+    significant_at = None
+    if not too_small:
+        significant_at = next((x for x in ALPHA_LADDER if wilcoxon.p_two_sided <= x), None)
+    return ComparisonResult(
+        a, b, level, measure, mode, SizeClass.SMALL, len(pairs), wilcoxon, proportion,
+        significant_at, too_small,
+    )
+
+
+def _reprs(value):
+    """A result's fields, nested ones too, with every number as the repr of
+    its float: -0.0 and 0.0 differ, as they do in the written tables."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_reprs(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(float(value))
+    return value
+
+
+@st.composite
+def random_cells(draw):
+    """A numeric-level cell of fully-automated and hand-coded planners over
+    minimize and maximize sets, with ties, unsolved and unattempted
+    problems and solved runs without a metric; and pairs drawn from it in
+    either name order."""
+    names = ["a", "b", "c", "h1", "h2"][: draw(st.integers(2, 5))]
+    planners = [
+        {"name": name, "category": "hand-coded" if name.startswith("h") else
+         "fully-automated", "levels": ["numeric"]}
+        for name in names
+    ]
+    sets = [
+        pset(domain, "numeric", draw(st.integers(1, 8)),
+             direction=draw(st.sampled_from(["minimize", "maximize"])))
+        for domain in ("d1", "d2")[: draw(st.integers(1, 2))]
+    ]
+    runs = []
+    for name in names:
+        for ps in sets:
+            for problem in ps["problems"]:
+                state = draw(st.integers(0, 3))
+                if state == 0:
+                    continue  # did not attempt
+                if state == 1:
+                    runs.append(run(name, ps["domain"], "numeric", problem))
+                else:
+                    metric = None if state == 2 else float(draw(st.integers(1, 4)))
+                    runs.append(run(name, ps["domain"], "numeric", problem,
+                                    draw(st.integers(1, 4)), metric=metric))
+    manifest = parse_manifest({"planners": planners, "problem_sets": sets})
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          min_size=1, max_size=6))
+    measure = draw(st.sampled_from([Measure.SPEED, Measure.QUALITY_METRIC]))
+    return manifest, runs, pairs, measure
+
+
+@settings(max_examples=150)
+@given(random_cells())
+def test_compare_pairs_matches_per_pair_composition(cell):
+    manifest, runs, pairs, measure = cell
+    for mode in PairingMode:
+        results = compare_pairs(runs, manifest, pairs, NUMERIC, measure, mode)
+        expected = [
+            _reference_compare(runs, manifest, a, b, NUMERIC, measure, mode) for a, b in pairs
+        ]
+        assert [_reprs(r) for r in results] == [_reprs(r) for r in expected]
+
+
+class TestComparePairsErrors:
+    def test_planner_not_in_level(self):
+        manifest = simple_manifest(
+            {"a": ["strips"], "b": ["strips"], "c": ["numeric"]},
+            [pset("d", "strips", 2), pset("d", "numeric", 2, prefix="n")],
+        )
+        with pytest.raises(PlannerNotInLevel, match="'c'"):
+            compare_pairs([], manifest, [("a", "b"), ("b", "c")], STRIPS, Measure.SPEED, ALO)
+
+    def test_no_problems(self):
+        manifest = simple_manifest({"a": ["strips", "numeric"], "b": ["strips", "numeric"]},
+                                   [pset("d", "strips", 2)])
+        with pytest.raises(NoProblems):
+            compare_pairs([], manifest, [("a", "b")], NUMERIC, Measure.SPEED, DH)
 
 
 class TestMagnitude:

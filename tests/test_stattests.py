@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planstats.distributions import DomainError
 from planstats.ranking import EmptyInput, rank_ascending
 from planstats.stattests import (
     DegenerateStatisticWarning,
@@ -22,8 +24,15 @@ from planstats.stattests import (
     spearman_test,
     wilcoxon_exact_p,
     wilcoxon_matched_pairs,
+    wilcoxon_rows,
 )
 
+# zeros, ties and infinite magnitudes of either sign
+tied_diffs_with_infinities = st.lists(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 5.0, math.inf, -math.inf]),
+    min_size=1,
+    max_size=10,
+)
 nonzero_diffs = st.lists(
     st.one_of(st.integers(1, 9), st.integers(-9, -1)).map(float), min_size=1, max_size=30
 )
@@ -67,6 +76,15 @@ class TestWilcoxon:
         with pytest.raises(EmptyInput):
             wilcoxon_matched_pairs([])
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            wilcoxon_matched_pairs([1.0, math.nan, -2.0])
+
+    def test_rows_match_one_row_calls(self):
+        rows = [[1.0, -2.0, math.inf, math.inf], [0.0, 0.0, 0.0, 0.0], [3.0, -math.inf, 0.0, 3.0]]
+        together = wilcoxon_rows(np.array(rows), [4, 4, 4])
+        assert together == [wilcoxon_matched_pairs(row) for row in rows]
+
     @given(nonzero_diffs)
     def test_rank_sum_identity(self, diffs):
         r = wilcoxon_matched_pairs(diffs)
@@ -89,16 +107,18 @@ class TestWilcoxon:
         assert flipped.favored is expected
 
 
-def brute_force_exact_p(diffs, mid_p):
-    """Literal sign-pattern enumeration (the definitional oracle)."""
+def brute_force_exact_p(diffs, mid_p, t_obs=None):
+    """Literal sign-pattern enumeration (the definitional oracle), measured
+    from the observed smaller rank sum or from ``t_obs`` if given."""
     nonzero = [d for d in diffs if d != 0.0]
     m = len(nonzero)
     if m == 0:
         return 1.0
     ranks = list(rank_ascending([abs(d) for d in nonzero]))
     total = sum(ranks)
-    w_pos = sum(r for r, d in zip(ranks, nonzero) if d > 0)
-    t_obs = min(w_pos, total - w_pos)
+    if t_obs is None:
+        w_pos = sum(r for r, d in zip(ranks, nonzero) if d > 0)
+        t_obs = min(w_pos, total - w_pos)
     below = equal = 0
     for signs in itertools.product((1.0, -1.0), repeat=m):
         w = sum(r for r, s in zip(ranks, signs) if s > 0)
@@ -150,6 +170,20 @@ class TestWilcoxonExact:
     def test_matches_literal_enumeration(self, diffs, mid_p):
         assert wilcoxon_exact_p(diffs, mid_p=mid_p) == pytest.approx(
             brute_force_exact_p(diffs, mid_p)
+        )
+
+    @settings(max_examples=80)
+    @given(tied_diffs_with_infinities)
+    def test_rank_sums_are_the_exact_tests(self, diffs):
+        # the normal test's rank sums are those wilcoxon_exact_p ranks by
+        r = wilcoxon_matched_pairs(diffs)
+        nonzero = [d for d in diffs if d != 0.0]
+        ranks = rank_ascending([abs(d) for d in nonzero]) if nonzero else ()
+        assert r.n_effective == len(nonzero)
+        assert r.rank_sum_pos == sum(q for q, d in zip(ranks, nonzero) if d > 0)
+        assert r.rank_sum_neg == sum(q for q, d in zip(ranks, nonzero) if d < 0)
+        assert wilcoxon_exact_p(diffs) == pytest.approx(
+            brute_force_exact_p(diffs, True, t_obs=r.T)
         )
 
     def test_normal_p_within_002_for_every_t(self):
