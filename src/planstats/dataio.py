@@ -23,7 +23,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -75,6 +75,10 @@ class Level(enum.Enum):
     SIMPLE_TIME = "simpletime"
     TIME = "time"
     COMPLEX = "complex"
+
+    # members are singletons compared by identity; Enum's hash of the name
+    # runs in Python on every dict and set lookup keyed by a level
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, text: str) -> "Level":
@@ -148,13 +152,25 @@ class ProblemSet:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Declares the planners and problem sets a dataset may reference."""
+    """Declares the planners and problem sets a dataset may reference.
+
+    Each (level, size class) grid's columns are the problems of its sets,
+    in set and problem order.  Laid side by side, grids in the order of
+    their first set, every column has a code; ``_by_problem`` gives each
+    (domain, level, problem) the code of its column, and ``_layouts`` each
+    grid's codes ``range(start, stop)`` and each domain's columns in it.
+    A problem declared twice, which only a hand-built manifest can do, has
+    the code of its first declaration: its records sit in that column only.
+    """
 
     planners: tuple[PlannerEntry, ...]
     problem_sets: tuple[ProblemSet, ...]
     # lookup indexes; where a name or problem repeats, the first entry wins
     _by_name: dict[str, PlannerEntry] = field(init=False, repr=False, compare=False)
-    _by_problem: dict[tuple[str, Level, str], ProblemSet] = field(
+    _by_problem: dict[tuple[str, Level, str], int] = field(init=False, repr=False, compare=False)
+    # the problem set of each column code
+    _column_sets: tuple[ProblemSet, ...] = field(init=False, repr=False, compare=False)
+    _layouts: dict[tuple[Level, SizeClass], tuple[int, int, dict[str, slice]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -162,12 +178,29 @@ class Manifest:
         by_name: dict[str, PlannerEntry] = {}
         for p in self.planners:
             by_name.setdefault(p.name, p)
-        by_problem: dict[tuple[str, Level, str], ProblemSet] = {}
-        for s in self.problem_sets:
-            for problem in s.problems:
-                by_problem.setdefault((s.domain, s.level, problem), s)
+        members: dict[tuple[Level, SizeClass], list[int]] = {}
+        for k, s in enumerate(self.problem_sets):
+            members.setdefault((s.level, s.size_class), []).append(k)
+        starts = [0] * len(self.problem_sets)
+        column_sets: list[ProblemSet] = []
+        layouts = {}
+        for key, sets in members.items():
+            start = len(column_sets)
+            spans: dict[str, slice] = {}
+            for k in sets:
+                s = self.problem_sets[k]
+                starts[k] = len(column_sets)
+                column_sets += [s] * len(s.problems)
+                spans[s.domain] = slice(starts[k] - start, len(column_sets) - start)
+            layouts[key] = (start, len(column_sets), spans)
+        by_problem: dict[tuple[str, Level, str], int] = {}
+        for s, start in zip(self.problem_sets, starts):
+            for code, problem in enumerate(s.problems, start):
+                by_problem.setdefault((s.domain, s.level, problem), code)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_by_problem", by_problem)
+        object.__setattr__(self, "_column_sets", tuple(column_sets))
+        object.__setattr__(self, "_layouts", layouts)
 
     def planner(self, name: str) -> PlannerEntry | None:
         return self._by_name.get(name)
@@ -194,7 +227,8 @@ class Manifest:
 
     def resolve(self, domain: str, level: Level, problem: str) -> ProblemSet | None:
         """The unique problem set containing (domain, level, problem), if any."""
-        return self._by_problem.get((domain, level, problem))
+        code = self._by_problem.get((domain, level, problem))
+        return None if code is None else self._column_sets[code]
 
     def levels(self) -> list[Level]:
         seen = []
@@ -243,17 +277,20 @@ class RunTable(Sequence[RunRecord]):
 
     The analyses read records through :meth:`grid`, which lays out one
     (level, size class) the first time it is asked for and keeps it for
-    the manifest it was laid out by.  A record object is built only when
-    one is asked for, by indexing or iterating.  Where a key repeats, the
-    last record with it wins.
+    the manifest it was laid out by.  Each record is placed once per
+    manifest (:meth:`codes`); a grid selects its cells from those codes.
+    A record object is built only when one is asked for, by indexing or
+    iterating.  Where a key repeats, the last record with it wins.
     """
 
     def __init__(self, columns: Sequence[Sequence]):
         self.columns: dict[str, Sequence] = dict(zip(RUNS_HEADER, columns))
-        # table rows per level and the cell arrays, made on first use
-        self._at_level: dict[Level, list[int]] | None = None
+        # the (planner, level) pairs, the cell arrays and, for one manifest,
+        # the records' codes and the grids, made on first use
+        self._planner_levels: set[tuple[str, Level]] | None = None
         self._arrays: dict[str, np.ndarray] | None = None
         self._manifest: Manifest | None = None
+        self._codes: np.ndarray | None = None
         self._grids: dict[tuple[Level, SizeClass], RunGrid] = {}
 
     @classmethod
@@ -274,41 +311,52 @@ class RunTable(Sequence[RunRecord]):
     def __iter__(self):
         return map(RunRecord, *self.columns.values())
 
+    def planner_levels(self) -> set[tuple[str, Level]]:
+        """The distinct (planner, level) pairs of the records."""
+        if self._planner_levels is None:
+            self._planner_levels = set(zip(self.columns["planner"], self.columns["level"]))
+        return self._planner_levels
+
+    def codes(self, manifest: Manifest) -> np.ndarray:
+        """Each record's column code under ``manifest`` (see :class:`Manifest`),
+        -1 where the manifest declares no such problem."""
+        self._use(manifest)
+        if self._codes is None:
+            keys = zip(*(self.columns[k] for k in ("domain", "level", "problem")))
+            codes = map(manifest._by_problem.get, keys, repeat(-1))
+            self._codes = np.fromiter(codes, dtype=np.intp, count=len(self))
+        return self._codes
+
     def grid(self, manifest: Manifest, level: Level, size_class: SizeClass) -> RunGrid:
         """The (level, size class) grid under ``manifest``, laid out once."""
-        if manifest is not self._manifest:
-            self._manifest, self._grids = manifest, {}
+        self._use(manifest)
         key = (level, size_class)
         grid = self._grids.get(key)
         if grid is None:
             grid = self._grids[key] = self._lay_out(manifest, level, size_class)
         return grid
 
+    def _use(self, manifest: Manifest) -> None:
+        """Forget the codes and grids of any other manifest."""
+        if manifest is not self._manifest:
+            self._manifest, self._codes, self._grids = manifest, None, {}
+
     def _lay_out(self, manifest: Manifest, level: Level, size_class: SizeClass) -> RunGrid:
-        columns: dict[tuple[str, str], int] = {}
-        spans: dict[str, slice] = {}
-        maximize: list[bool] = []
-        for ps in manifest.sets_at(level=level, size_class=size_class):
-            start = len(maximize)
-            columns.update(((ps.domain, p), j) for j, p in enumerate(ps.problems, start))
-            maximize += [ps.quality_direction is QualityDirection.MAXIMIZE] * len(ps.problems)
-            spans[ps.domain] = slice(start, len(maximize))
-        if self._at_level is None:
-            self._at_level = {}
-            for i, lv in enumerate(self.columns["level"]):
-                self._at_level.setdefault(lv, []).append(i)
-        at_level = self._at_level.get(level, [])
-        planner, domain, problem = (self.columns[k] for k in ("planner", "domain", "problem"))
+        start, stop, spans = manifest._layouts.get((level, size_class), (0, 0, {}))
         entrants = {p.name for p in manifest.planners}
-        names = tuple(sorted(entrants.union(planner[i] for i in at_level)))
+        names = tuple(sorted(entrants.union(p for p, lv in self.planner_levels() if lv is level)))
         rows = {name: r for r, name in enumerate(names)}
-        width = len(maximize)
-        flat = [-1] * (len(names) * width)
-        for i in at_level:
-            j = columns.get((domain[i], problem[i]))
-            if j is not None:
-                flat[rows[planner[i]] * width + j] = i
-        index = np.array(flat, dtype=np.intp).reshape(len(names), width)
+        codes = self.codes(manifest)
+        # the table rows of the grid's records and each one's planner row
+        at = np.flatnonzero((codes >= start) & (codes < stop))
+        planner = self.columns["planner"]
+        cell_rows = np.fromiter(map(rows.__getitem__, map(planner.__getitem__, at.tolist())),
+                                dtype=np.intp, count=len(at))
+        index = np.full((len(names), stop - start), -1, dtype=np.intp)
+        # where a key repeats, the last record, the highest table row, wins
+        np.maximum.at(index, (cell_rows, codes[at] - start), at)
+        maximize = [s.quality_direction is QualityDirection.MAXIMIZE
+                    for s in manifest._column_sets[start:stop]]
         # index -1 reads the arrays' trailing entry: unsolved, no values
         arrays = self._cell_arrays()
         return RunGrid(
@@ -468,15 +516,30 @@ def load_runs(path: str | Path) -> RunTable:
 
     Raises:
         MissingHeader: if the first line is not the exact expected header.
-        BadField: on any malformed field, citing row and column.
+        BadField: on any malformed field, citing row and column, or on
+            the first byte that is not UTF-8, citing its line and the
+            column the commas before it on that line give.
         DuplicateKey: if a (planner, domain, level, problem) key repeats.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_runs(fh)
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        k = data.count(b",", line_start, exc.start)
+        raise BadField(
+            data.count(b"\n", 0, exc.start) + 1,
+            RUNS_HEADER[k] if k < len(RUNS_HEADER) else "<row>",
+            f"not UTF-8: byte 0x{data[exc.start]:02x}",
+        ) from None
+    return _parse_runs(text)
 
 
 def read_runs(fh: io.TextIOBase) -> RunTable:
-    text = fh.read()
+    return _parse_runs(fh.read())
+
+
+def _parse_runs(text: str) -> RunTable:
     columns = _columns(text)
     if columns is not None:
         return RunTable(columns)
@@ -521,7 +584,8 @@ def load_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest JSON document.
 
     Raises:
-        ParseError: on malformed JSON or missing/ill-typed structure.
+        ParseError: on malformed JSON, text that is not UTF-8, or
+            missing/ill-typed structure.
         UnknownLevel: on an unrecognized level name.
         EmptyProblemList: if a problem set has no problems.
         DuplicateProblem: if a problem id repeats within a (domain, level).
@@ -529,7 +593,7 @@ def load_manifest(path: str | Path) -> Manifest:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return parse_manifest(doc)
 
@@ -619,52 +683,68 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
     Reports records referencing unknown planners or problems, planners
     with records at levels they did not enter, and per-planner coverage
     (missing (planner, problem) cells are legal: they mean "did not
-    attempt" and are reported informationally).
+    attempt" and are reported informationally).  Planners and levels are
+    checked once per distinct (planner, level) pair and problems on the
+    records' codes; only when a check fails are the records walked one by
+    one, to report each error in record order.
     """
     runs = RunTable.of(runs)
     diagnostics: list[Diagnostic] = []
-    for key in zip(*(runs.columns[name] for name in RUNS_HEADER[:4])):
-        planner, domain, level, problem = key
-        entry = manifest.planner(planner)
-        if entry is None:
-            diagnostics.append(
-                Diagnostic(
-                    "UnknownPlanner",
-                    "error",
-                    f"record {key} references planner {planner!r} "
-                    "not declared in the manifest",
+    codes = runs.codes(manifest)
+    entries = ((manifest.planner(name), level) for name, level in runs.planner_levels())
+    entered = all(entry is not None and level in entry.levels_entered for entry, level in entries)
+    if not entered or codes.min(initial=0) < 0:
+        # walk the records to report each error in record order
+        keys = zip(*(runs.columns[name] for name in RUNS_HEADER[:4]))
+        for key, code in zip(keys, codes.tolist()):
+            planner, _, level, _ = key
+            entry = manifest.planner(planner)
+            if entry is None:
+                diagnostics.append(
+                    Diagnostic(
+                        "UnknownPlanner",
+                        "error",
+                        f"record {key} references planner {planner!r} "
+                        "not declared in the manifest",
+                    )
                 )
-            )
-            continue
-        if manifest.resolve(domain, level, problem) is None:
-            diagnostics.append(
-                Diagnostic(
-                    "UnknownProblem",
-                    "error",
-                    f"record {key} references a problem not in any problem set",
+                continue
+            if code < 0:
+                diagnostics.append(
+                    Diagnostic(
+                        "UnknownProblem",
+                        "error",
+                        f"record {key} references a problem not in any problem set",
+                    )
                 )
-            )
-        if level not in entry.levels_entered:
-            diagnostics.append(
-                Diagnostic(
-                    "LevelNotEntered",
-                    "error",
-                    f"planner {planner!r} has a record at level "
-                    f"{level.value} it did not enter",
+            if level not in entry.levels_entered:
+                diagnostics.append(
+                    Diagnostic(
+                        "LevelNotEntered",
+                        "error",
+                        f"planner {planner!r} has a record at level "
+                        f"{level.value} it did not enter",
+                    )
                 )
-            )
 
+    levels = manifest.levels()
+    # per grid: its rows, its width and each row's attempted and solved counts
+    tallies = {}
     for entry in manifest.planners:
         n_available = n_attempted = n_solved = 0
-        for level in manifest.levels():
+        for level in levels:
             if level not in entry.levels_entered:
                 continue
             for size_class in sizes_faced(entry.category):
-                grid = runs.grid(manifest, level, size_class)
-                row = grid.rows[entry.name]
-                n_available += grid.index.shape[1]
-                n_attempted += int(grid.present[row].sum())
-                n_solved += int(grid.solved[row].sum())
+                if (level, size_class) not in tallies:
+                    grid = runs.grid(manifest, level, size_class)
+                    counts = np.stack((grid.present, grid.solved), axis=-1).sum(axis=1)
+                    tallies[level, size_class] = (grid.rows, grid.index.shape[1], counts.tolist())
+                rows, width, counts = tallies[level, size_class]
+                attempted, solved = counts[rows[entry.name]]
+                n_available += width
+                n_attempted += attempted
+                n_solved += solved
         if not n_available:
             continue
         diagnostics.append(

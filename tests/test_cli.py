@@ -47,6 +47,32 @@ class TestValidateCommand:
         assert rc == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["runs", "manifest"])
+    def test_input_not_utf8_exits_2(self, tmp_path, capsys, bad):
+        paths = {"runs": RUNS, "manifest": MANIFEST}
+        data = Path(paths[bad]).read_bytes()
+        paths[bad] = tmp_path / bad
+        paths[bad].write_bytes(data.replace(b"transport", b"tr\xe4nsport", 1))
+        rc = invoke("validate", "--runs", str(paths["runs"]), "--manifest",
+                    str(paths["manifest"]), "--out", str(tmp_path))
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_checks_each_planner_and_level_once_not_each_record(self, tmp_path, monkeypatch):
+        calls = {"planner": 0, "resolve": 0}
+        for name in calls:
+            method = getattr(dataio.Manifest, name)
+
+            def counting(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(dataio.Manifest, name, counting)
+        assert invoke("validate", *common(tmp_path)) == 0
+        runs = list(dataio.load_runs(RUNS))
+        assert calls["resolve"] == 0
+        assert calls["planner"] == len({(r.planner, r.level) for r in runs}) < len(runs)
+
 
 class TestColumnarPath:
     def test_compare_loads_once_and_builds_no_record(self, tmp_path, monkeypatch):

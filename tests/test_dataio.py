@@ -111,6 +111,18 @@ class TestLoadRuns:
         with pytest.raises(BadField):
             load_text(f"{HEADER}\nhermes,cargo,numeric,p01,1,120,inf,,\n")
 
+    @pytest.mark.parametrize("line, row, column", [
+        (b"hermes,d\xe9pots,strips,p01,1,120,,,", 3, "domain"),
+        (b"hermes,cargo,strips,p01,1,120,,,,\xff", 3, "<row>"),
+    ])
+    def test_byte_not_utf8_cites_row_and_column(self, tmp_path, line, row, column):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(HEADER.encode() + b"\nhermes,cargo,strips,p02,0,,,,\n" + line + b"\n")
+        with pytest.raises(BadField) as exc:
+            load_runs(path)
+        assert (exc.value.row, exc.value.column) == (row, column)
+        assert "not UTF-8" in exc.value.reason
+
 
 names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126, exclude_characters='",'),
@@ -239,6 +251,9 @@ class TestManifest:
     def test_parse_errors(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(ParseError):
+            load_manifest(path)
+        path.write_bytes(b"\xff")
         with pytest.raises(ParseError):
             load_manifest(path)
         with pytest.raises(ParseError):

@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,8 @@ from planstats.agreement import judge_ranks
 from planstats.dataio import (
     Diagnostic,
     Level,
+    Manifest,
+    ProblemSet,
     QualityDirection,
     RunRecord,
     RunTable,
@@ -226,7 +229,7 @@ def record(key, code):
 
 
 @st.composite
-def datasets(draw):
+def manifests(draw):
     often = st.integers(0, 4).map(bool)
     planners = [
         {
@@ -248,10 +251,33 @@ def datasets(draw):
         for domain, level, size in itertools.product(DOMAINS, LEVELS, PREFIX)
         if draw(often)
     ]
-    manifest = parse_manifest({"planners": planners, "problem_sets": sets})
+    return parse_manifest({"planners": planners, "problem_sets": sets})
+
+
+@st.composite
+def datasets(draw):
+    manifest = draw(manifests())
     codes = st.tuples(st.sampled_from(KEYS), st.integers(0, CODES - 1))
     records = [record(*drawn) for drawn in draw(st.lists(codes, min_size=20, max_size=100))]
     return records, manifest
+
+
+@st.composite
+def clean_datasets(draw):
+    """Records only on problems the manifest declares, each by a planner at
+    a level it entered; keys may still repeat."""
+    manifest = draw(manifests())
+    keys = [
+        (entry.name, ps.domain, ps.level, problem)
+        for entry in manifest.planners
+        for ps in manifest.problem_sets
+        if ps.level in entry.levels_entered
+        for problem in ps.problems
+    ]
+    if not keys:
+        return [], manifest
+    codes = st.tuples(st.sampled_from(keys), st.integers(0, CODES - 1))
+    return [record(*drawn) for drawn in draw(st.lists(codes, max_size=100))], manifest
 
 
 @settings(max_examples=100, deadline=None)
@@ -294,6 +320,39 @@ def test_validate_dataset_equals_per_key_scan(dataset):
     assert validate_dataset(runs, manifest) == reference_validate(runs, manifest)
 
 
+@settings(max_examples=100, deadline=None)
+@given(clean_datasets())
+def test_validate_clean_dataset_equals_per_key_scan(dataset):
+    runs, manifest = dataset
+    diagnostics = validate_dataset(runs, manifest)
+    assert diagnostics == reference_validate(runs, manifest)
+    assert all(d.severity == "info" for d in diagnostics)
+
+
+@pytest.mark.parametrize("bad, kinds", [
+    (("ghost", "d1", Level.STRIPS, "p0"), ["UnknownPlanner"]),
+    (("a", "d1", Level.STRIPS, "p9"), ["UnknownProblem"]),
+    (("a", "d1", Level.NUMERIC, "p1"), ["LevelNotEntered"]),
+    (("a", "d2", Level.NUMERIC, "p0"), ["UnknownProblem", "LevelNotEntered"]),
+])
+def test_one_bad_record_in_a_clean_table(bad, kinds):
+    doc = {
+        "planners": [{"name": "a", "category": "fully-automated", "levels": ["strips"]},
+                     {"name": "b", "category": "hand-coded", "levels": ["strips", "numeric"]}],
+        "problem_sets": [{"domain": "d1", "level": level, "size_class": "small",
+                          "quality_direction": "minimize", "problems": ["p0", "p1", "p2"]}
+                         for level in ("strips", "numeric")],
+    }
+    manifest = parse_manifest(doc)
+    clean = [RunRecord(planner, "d1", level, f"p{i}", True, 10 + i)
+             for planner, level in (("a", Level.STRIPS), ("b", Level.STRIPS), ("b", Level.NUMERIC))
+             for i in range(3)]
+    runs = clean[:4] + [RunRecord(*bad, False)] + clean[4:]
+    diagnostics = validate_dataset(RunTable.of(runs), manifest)
+    assert diagnostics == reference_validate(runs, manifest)
+    assert [d.kind for d in diagnostics if d.severity == "error"] == kinds
+
+
 def test_grid_follows_the_manifest_it_is_asked_for():
     doc = {
         "planners": [{"name": "a", "category": "fully-automated", "levels": ["strips"]}],
@@ -307,3 +366,13 @@ def test_grid_follows_the_manifest_it_is_asked_for():
     assert first.index.tolist() == [[-1, 0]]
     assert second.index.tolist() == [[0]]
     assert second.values["time_ms"].tolist() == [[7.0]]
+
+
+def test_problem_declared_twice_sits_in_the_column_resolve_names():
+    small = ProblemSet("d", Level.STRIPS, SizeClass.SMALL, QualityDirection.MINIMIZE, ("p1", "p2"))
+    large = ProblemSet("d", Level.STRIPS, SizeClass.LARGE, QualityDirection.MINIMIZE, ("p2",))
+    manifest = Manifest(planners=(), problem_sets=(small, large))
+    runs = RunTable.of([RunRecord("a", "d", Level.STRIPS, "p2", True, 7)])
+    assert manifest.resolve("d", Level.STRIPS, "p2") is small
+    assert runs.grid(manifest, Level.STRIPS, SizeClass.SMALL).index.tolist() == [[-1, 0]]
+    assert runs.grid(manifest, Level.STRIPS, SizeClass.LARGE).index.tolist() == [[-1]]
