@@ -37,9 +37,11 @@ from .hardness import (
     DifficultyArea,
     HardnessVerdict,
     bootstrap_distribution,
+    bootstrap_distributions,
     classify,
     difficulty_area,
     hardness_table,
+    hardness_tables,
 )
 from .agreement import AgreementResult, agreement_table, agreement_test, judge_ranks
 from .scaling import (

@@ -173,8 +173,8 @@ def _measures_for(args, level: Level) -> list[Measure]:
     return [Measure.SPEED, *quality_channels(level)]
 
 
-def _hardness_table(runs, manifest, category, size, config, level_specific):
-    return hardness_mod.hardness_table(
+def _hardness_tables(runs, manifest, category, size, config, level_specific):
+    return hardness_mod.hardness_tables(
         runs,
         manifest,
         category,
@@ -262,10 +262,7 @@ def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
         # the level-specific table, then the level-independent one
-        tables = [
-            _hardness_table(runs, manifest, category, size, config, specific)
-            for specific in (True, False)
-        ]
+        tables = _hardness_tables(runs, manifest, category, size, config, (True, False))
         extra = {"category": args.category, "size": size.value}
         print(f"-- {size.value} problems --")
         text = render_hardness_text(*tables)
@@ -289,7 +286,7 @@ def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> in
 def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
-        table = _hardness_table(runs, manifest, category, size, config, level_specific=True)
+        (table,) = _hardness_tables(runs, manifest, category, size, config, (True,))
         for level in _levels_for(args, manifest):
             verdicts = table.by_planner(level)
             names = _pair_names(manifest, category, level, False)

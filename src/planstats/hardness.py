@@ -14,7 +14,10 @@ time: Philox4x64-10 is a pure function of (key, counter) (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), and the words and
 bounded draws are laid out exactly as ``np.random.Generator(Philox(key))``
 lays them out, so ``RNG_NAME`` and every sample are what the scalar
-sampler ``_sample_area`` gives.
+sampler ``_sample_area`` gives.  Since a sample's words do not depend on
+the pool, a command computes each chunk's word block once and every pool
+of the command draws from it (``bootstrap_distributions``); the block is
+passed along inside the call and kept nowhere after it.
 """
 
 from __future__ import annotations
@@ -212,28 +215,34 @@ def _pool_timings(
     runs: Sequence[RunRecord],
     manifest: Manifest,
     category: Category,
-    pool_kind: PoolKind,
+    pool_kinds: Sequence[PoolKind],
     size_class: SizeClass,
     cutoff_ms: int,
-) -> list[np.ndarray]:
-    """Per-problem arrays of clamped timings, one entry per eligible planner
-    in name order, so that the manifest's planner order moves no sample.
+) -> list[list[np.ndarray]]:
+    """Each pool's per-problem arrays of clamped timings, in manifest set
+    order, one entry per eligible planner in name order, so that the
+    manifest's planner order moves no sample.
 
-    A problem is in the pool when at least one category planner entered
-    its level; a planner with no record on a pooled problem contributes
-    the cutoff (unsolved).
+    A problem is in a pool when at least one category planner entered its
+    level; a planner with no record on a pooled problem contributes the
+    cutoff (unsolved).  Each problem set's timings are clamped once and
+    shared by every pool that holds the set, so the level-independent pool
+    is the level pools' arrays in set order.
     """
     runs = RunTable.of(runs)
-    per_problem: list[np.ndarray] = []
-    for ps in manifest.sets_at(level=pool_kind.level, size_class=size_class):
+    by_set: list[tuple[Level, list[np.ndarray]]] = []
+    for ps in manifest.sets_at(size_class=size_class):
         eligible = [p.name for p in manifest.planners_in(category, ps.level)]
-        if not eligible:
+        if not eligible or not any(kind.level in (None, ps.level) for kind in pool_kinds):
             continue
         grid = runs.grid(manifest, ps.level, size_class)
         rows = [grid.rows[name] for name in eligible]
         times = grid.values["time_ms"][rows, grid.spans[ps.domain]]
-        per_problem.extend(np.ascontiguousarray(clamped_times(times, cutoff_ms).T))
-    return per_problem
+        by_set.append((ps.level, list(np.ascontiguousarray(clamped_times(times, cutoff_ms).T))))
+    return [
+        [t for level, per_problem in by_set if kind.level in (None, level) for t in per_problem]
+        for kind in pool_kinds
+    ]
 
 
 def _sample_area(
@@ -285,46 +294,110 @@ def _philox_words(seed: int, sample_index: np.ndarray, n_blocks: int) -> np.ndar
     return halves.reshape(len(sample_index), 8 * n_blocks)
 
 
-def _sample_areas(seed: int, per_problem: list[np.ndarray], m: int, B: int) -> np.ndarray:
-    """``[_sample_area(i, seed, per_problem, m) for i in range(B)]``, computed
-    a chunk of samples at a time.
+class _PoolDraws:
+    """One pool's tables for turning Philox words into sample areas.
 
     The draws follow ``Generator.integers``: m problem draws, then one
     planner draw per drawn problem, each a Lemire reduction (u * n) >> 32 of
-    one 32-bit word; a draw over a single value consumes no word.  Samples
-    with a rejected draw are rare and are recomputed by ``_sample_area``.
-    Each area adds its m times left to right, as the scalar sampler does.
+    one 32-bit word; a draw over a single value consumes no word.
     """
-    n_problems = len(per_problem)
-    lens = np.array([len(t) for t in per_problem], dtype=np.uint64)
-    starts = np.concatenate(([0], np.cumsum(lens[:-1]))).astype(np.intp)
-    flat = np.concatenate(per_problem)
-    # numpy rejects a word when (u * n) mod 2**32 < (2**32 - n) mod n
-    thresholds = (np.uint64(1 << 32) - lens) % lens
-    problem_threshold = np.uint64(((1 << 32) - n_problems) % n_problems)
-    problem_words = m if n_problems > 1 else 0
-    n_blocks = -(-(problem_words + m) // 8)
-    areas = np.empty(B)
-    for start in range(0, B, _CHUNK):
-        index = np.arange(start, min(start + _CHUNK, B), dtype=np.uint64)
-        words = _philox_words(seed, index, n_blocks)
-        scaled = words[:, :m] * np.uint64(n_problems)
+
+    def __init__(self, per_problem: list[np.ndarray], m: int) -> None:
+        self.per_problem = per_problem
+        self.m = m
+        self.n_problems = len(per_problem)
+        self.lens = np.array([len(t) for t in per_problem], dtype=np.uint64)
+        self.starts = np.concatenate(([0], np.cumsum(self.lens[:-1]))).astype(np.intp)
+        self.flat = np.concatenate(per_problem)
+        # numpy rejects a word when (u * n) mod 2**32 < (2**32 - n) mod n
+        self.thresholds = (np.uint64(1 << 32) - self.lens) % self.lens
+        self.problem_threshold = np.uint64(((1 << 32) - self.n_problems) % self.n_problems)
+        self.problem_words = m if self.n_problems > 1 else 0
+        self.n_blocks = -(-(self.problem_words + m) // 8)
+
+    def fill(self, words: np.ndarray, area: np.ndarray) -> np.ndarray:
+        """Write each row's sample area into ``area``; return the rows with
+        a rejected draw, whose areas are wrong."""
+        m = self.m
+        scaled = words[:, :m] * np.uint64(self.n_problems)
         drawn = (scaled >> _SHIFT32).astype(np.intp)
-        rejected = ((scaled & _UINT32_MASK) < problem_threshold).any(axis=1)
-        n_planners = lens[drawn]
+        rejected = ((scaled & _UINT32_MASK) < self.problem_threshold).any(axis=1)
+        n_planners = self.lens[drawn]
         consumes = n_planners > 1
-        position = problem_words + np.cumsum(consumes, axis=1) - consumes
+        position = self.problem_words + np.cumsum(consumes, axis=1) - consumes
         scaled = np.take_along_axis(words, position, axis=1) * n_planners
         planner = (scaled >> _SHIFT32).astype(np.intp)
-        rejected |= ((scaled & _UINT32_MASK) < thresholds[drawn]).any(axis=1)
-        values = flat[starts[drawn] + planner]
-        area = areas[start : start + len(index)]
+        rejected |= ((scaled & _UINT32_MASK) < self.thresholds[drawn]).any(axis=1)
+        values = self.flat[self.starts[drawn] + planner]
         area[:] = 0.0
         for column in values.T:  # not np.sum: its pairwise order rounds differently
             area += column
-        for k in np.flatnonzero(rejected):
-            area[k] = _sample_area(start + int(k), seed, per_problem, m)
+        return np.flatnonzero(rejected)
+
+
+def _sample_areas(seed: int, pools: list[list[np.ndarray]], m: int, B: int) -> list[np.ndarray]:
+    """``[_sample_area(i, seed, per_problem, m) for i in range(B)]`` for each
+    pool's ``per_problem``, computed a chunk of samples at a time.
+
+    A sample's words do not depend on the pool, so each chunk's word block
+    is computed once, as wide as the widest pool needs, and every pool
+    draws from it with its own Lemire thresholds (see ``_PoolDraws``).
+    Samples with a rejected draw in a pool are rare and are recomputed for
+    that pool by ``_sample_area``.  Each area adds its m times left to
+    right, as the scalar sampler does.
+    """
+    draws = [_PoolDraws(per_problem, m) for per_problem in pools]
+    areas = [np.empty(B) for _ in draws]
+    if not draws:
+        return areas
+    n_blocks = max(pool.n_blocks for pool in draws)
+    for start in range(0, B, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, B), dtype=np.uint64)
+        words = _philox_words(seed, index, n_blocks)
+        for pool, out in zip(draws, areas):
+            area = out[start : start + len(index)]
+            for k in pool.fill(words, area):
+                area[k] = _sample_area(start + int(k), seed, pool.per_problem, m)
     return areas
+
+
+def bootstrap_distributions(
+    runs: Sequence[RunRecord],
+    manifest: Manifest,
+    category: Category,
+    pool_kinds: Sequence[PoolKind],
+    size_class: SizeClass = SizeClass.SMALL,
+    B: int = DEFAULT_B,
+    m: int = DEFAULT_M,
+    cutoff_ms: int = DEFAULT_CUTOFF_MS,
+    seed: int = 0,
+) -> dict[PoolKind, BootstrapDistribution]:
+    """Bootstrap distributions of difficulty areas for several pools.
+
+    Each pool's samples are those ``bootstrap_distribution`` gives it; the
+    pools read one word block per chunk of samples, computed once for the
+    call.  A pool with no problems visible to the category has no entry.
+    """
+    if B < 1 or m < 1:
+        raise ValueError(f"B and m must be positive, got B={B}, m={m}")
+    if not (0 <= seed <= _UINT64_MASK):
+        raise ValueError("seed must fit in 64 bits")
+    pools = _pool_timings(runs, manifest, category, pool_kinds, size_class, cutoff_ms)
+    filled = {kind: pool for kind, pool in zip(pool_kinds, pools) if pool}
+    samples = _sample_areas(seed, list(filled.values()), m, B)
+    return {
+        kind: BootstrapDistribution(
+            pool_kind=kind,
+            category=category,
+            size_class=size_class,
+            samples=tuple(areas.tolist()),
+            B=B,
+            m=m,
+            cutoff_ms=cutoff_ms,
+            seed=seed,
+        )
+        for kind, areas in zip(filled, samples)
+    }
 
 
 def bootstrap_distribution(
@@ -345,31 +418,21 @@ def bootstrap_distribution(
     planner uniformly among the category planners that entered its level;
     that planner's cutoff-clamped time (missing record counts as
     unsolved) contributes to the sample's area.  Bit-identical for a
-    given seed.
+    given seed, whether the pool is sampled alone or beside others: this
+    is the one-pool call of ``bootstrap_distributions``, whose pools read
+    one word block per chunk of samples.
 
     Raises:
         EmptyPool: if the pool has no problems visible to the category.
     """
-    if B < 1 or m < 1:
-        raise ValueError(f"B and m must be positive, got B={B}, m={m}")
-    if not (0 <= seed <= _UINT64_MASK):
-        raise ValueError("seed must fit in 64 bits")
-    per_problem = _pool_timings(runs, manifest, category, pool_kind, size_class, cutoff_ms)
-    if not per_problem:
+    dists = bootstrap_distributions(
+        runs, manifest, category, [pool_kind], size_class, B, m, cutoff_ms, seed
+    )
+    if pool_kind not in dists:
         raise EmptyPool(
             f"no problems for category {category.value} in pool {pool_kind.label}/{size_class.value}"
         )
-    areas = _sample_areas(seed, per_problem, m, B)
-    return BootstrapDistribution(
-        pool_kind=pool_kind,
-        category=category,
-        size_class=size_class,
-        samples=tuple(areas.tolist()),
-        B=B,
-        m=m,
-        cutoff_ms=cutoff_ms,
-        seed=seed,
-    )
+    return dists[pool_kind]
 
 
 def percentile_of(area: float, samples: Sequence[float]) -> float:
@@ -419,6 +482,60 @@ def classify(subject: DifficultyArea, dist: BootstrapDistribution) -> HardnessVe
     )
 
 
+def hardness_tables(
+    runs: Sequence[RunRecord],
+    manifest: Manifest,
+    category: Category,
+    *,
+    level_specific_pools: Sequence[bool],
+    size_class: SizeClass = SizeClass.SMALL,
+    B: int = DEFAULT_B,
+    m: int = DEFAULT_M,
+    cutoff_ms: int = DEFAULT_CUTOFF_MS,
+    seed: int = 0,
+) -> list[HardnessTable]:
+    """``hardness_table`` for each pool mode in ``level_specific_pools``.
+
+    The tables share their subjects' areas and one call of
+    ``bootstrap_distributions`` for every pool they compare against.
+    """
+    runs = RunTable.of(runs)
+    subjects = []
+    for ps in sorted(
+        manifest.sets_at(size_class=size_class), key=lambda s: (s.domain, s.level.value)
+    ):
+        # planners with a record on the cell's problems, of either size class
+        grids = [runs.grid(manifest, ps.level, size) for size in SizeClass]
+        attempted = {
+            name
+            for grid in grids
+            if ps.domain in grid.spans
+            for name in grid.attempted(grid.spans[ps.domain])
+        }
+        subjects.extend(
+            subject_area(runs, manifest, entry.name, ps.domain, ps.level, size_class, cutoff_ms)
+            for entry in manifest.planners_in(category, ps.level)
+            if entry.name in attempted
+        )
+
+    def kind(subject: DifficultyArea, specific: bool) -> PoolKind:
+        return level_specific(subject.level) if specific else LEVEL_INDEPENDENT
+
+    kinds = {kind(s, specific): None for specific in level_specific_pools for s in subjects}
+    dists = bootstrap_distributions(
+        runs, manifest, category, list(kinds), size_class, B, m, cutoff_ms, seed
+    )
+    return [
+        HardnessTable(
+            category=category,
+            size_class=size_class,
+            # a subject's level has a category planner, so its pools are never empty
+            verdicts=tuple(classify(s, dists[kind(s, specific)]) for s in subjects),
+        )
+        for specific in level_specific_pools
+    ]
+
+
 def hardness_table(
     runs: Sequence[RunRecord],
     manifest: Manifest,
@@ -436,54 +553,18 @@ def hardness_table(
     With ``level_specific_pools`` each level gets its own bootstrap
     distribution; otherwise a single level-independent distribution is
     shared.  Subjects are the category planners that entered the level
-    and produced at least one record in the cell.
+    and produced at least one record in the cell.  This is the one-mode
+    call of ``hardness_tables``.
     """
-    runs = RunTable.of(runs)
-    dists: dict[str, BootstrapDistribution] = {}
-
-    def dist_for(level: Level) -> BootstrapDistribution | None:
-        kind = level_specific(level) if level_specific_pools else LEVEL_INDEPENDENT
-        if kind.label not in dists:
-            try:
-                dists[kind.label] = bootstrap_distribution(
-                    runs,
-                    manifest,
-                    category,
-                    kind,
-                    size_class,
-                    B=B,
-                    m=m,
-                    cutoff_ms=cutoff_ms,
-                    seed=seed,
-                )
-            except EmptyPool:
-                return None
-        return dists[kind.label]
-
-    verdicts = []
-    for ps in sorted(
-        manifest.sets_at(size_class=size_class), key=lambda s: (s.domain, s.level.value)
-    ):
-        # planners with a record on the cell's problems, of either size class
-        grids = [runs.grid(manifest, ps.level, size) for size in SizeClass]
-        attempted = {
-            name
-            for grid in grids
-            if ps.domain in grid.spans
-            for name in grid.attempted(grid.spans[ps.domain])
-        }
-        for entry in manifest.planners_in(category, ps.level):
-            if entry.name not in attempted:
-                continue
-            dist = dist_for(ps.level)
-            if dist is None:
-                continue
-            subject = subject_area(
-                runs, manifest, entry.name, ps.domain, ps.level, size_class, cutoff_ms
-            )
-            verdicts.append(classify(subject, dist))
-    return HardnessTable(
-        category=category,
+    (table,) = hardness_tables(
+        runs,
+        manifest,
+        category,
+        level_specific_pools=(level_specific_pools,),
         size_class=size_class,
-        verdicts=tuple(verdicts),
+        B=B,
+        m=m,
+        cutoff_ms=cutoff_ms,
+        seed=seed,
     )
+    return table

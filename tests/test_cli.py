@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from planstats import cli, dataio, pairwise
+from planstats import cli, dataio, hardness, pairwise
 from planstats.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +202,30 @@ class TestHardnessCommand:
         b = (out2 / "hardness_auto_small.csv").read_text()
         assert "seed=3" in a and "seed=99" in b
         assert a != b
+
+
+class TestBootstrapWordsShared:
+    """Every bootstrap pool of a command reads one Philox word block per
+    chunk of samples, not a block of its own."""
+
+    @pytest.mark.parametrize("command", ["hardness", "scaling"])
+    def test_one_word_block_per_chunk(self, tmp_path, monkeypatch, command):
+        calls = []
+        original = hardness._philox_words
+
+        def counting(seed, index, n_blocks):
+            calls.append(len(index))
+            return original(seed, index, n_blocks)
+
+        monkeypatch.setattr(hardness, "_philox_words", counting)
+        B = 2 * hardness._CHUNK + 1
+        cfg = tmp_path / "planstats.cfg"
+        cfg.write_text(f"bootstrap_B={B}\n")
+        assert invoke(command, *common(tmp_path, "--config", str(cfg))) == 0
+        # both levels of the sample have a pool: a block per pool would double the calls
+        sizes = dataio.sizes_faced(dataio.Category.FULLY_AUTOMATED)
+        assert len(calls) == -(-B // hardness._CHUNK) * len(sizes)
+        assert sum(calls) == B * len(sizes)
 
 
 class TestAgreementCommand:

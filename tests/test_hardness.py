@@ -20,7 +20,7 @@ from planstats.hardness import (
     percentile_of,
     subject_area,
 )
-from planstats.hardness import _CHUNK, _philox_words, _sample_area, _sample_areas
+from planstats.hardness import _CHUNK, _PoolDraws, _philox_words, _sample_area, _sample_areas
 from planstats.ranking import EmptyInput
 
 AUTO = Category.FULLY_AUTOMATED
@@ -218,15 +218,56 @@ class TestCounterBasedSampler:
     def test_areas_match_scalar_sampler(self, pool, m, seed):
         per_problem = [np.array(times) for times in pool]
         B = _CHUNK + 5  # crosses a chunk boundary
-        areas = _sample_areas(seed, per_problem, m, B)
+        (areas,) = _sample_areas(seed, [per_problem], m, B)
         assert areas.tolist() == [_sample_area(i, seed, per_problem, m) for i in range(B)]
 
     def test_rejected_draw_falls_back_to_scalar(self):
         # Sample 25039 hits a Lemire rejection on its 19th problem draw
         # (4100 problems), which only the scalar fallback gets right.
         per_problem = [np.array([k, k + 0.5]) for k in range(4100)]
-        areas = _sample_areas(1, per_problem, 20, 25040)
+        (areas,) = _sample_areas(1, [per_problem], 20, 25040)
         assert areas[25039] == _sample_area(25039, 1, per_problem, 20) == 46024.0
+
+
+class TestSharedWordBlock:
+    """Pools sampled together read one word block per chunk; each pool's
+    areas must still be what the scalar sampler gives it alone."""
+
+    POOLS = {
+        # one problem: no problem words, only planner draws
+        "one-problem": [np.array([300.0, 1e6 / 7, 0.25])],
+        # single-planner problems: problem draws, no planner word
+        "one-planner": [np.array([float(k) * 11 + 0.5]) for k in range(6)],
+        "mixed": [np.array([1.5, 9.0]), np.array([4.0]), np.array([2.0, 7.25, 3.0, 8.0])],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_every_pool_matches_scalar_sampler(self, seed, m):
+        pools = list(self.POOLS.values())
+        B_max = 2 * _CHUNK + 1
+        expected = [[_sample_area(i, seed, pool, m) for i in range(B_max)] for pool in pools]
+        for B in (1, _CHUNK - 1, _CHUNK, B_max):
+            for areas, scalar in zip(_sample_areas(seed, pools, m, B), expected):
+                assert areas.tolist() == scalar[:B]
+
+    def test_rejection_in_one_pool_leaves_the_other(self):
+        # sample 25039 is rejected in the 4100-problem pool (see above) but
+        # draws cleanly from the small pool beside it
+        big = [np.array([k, k + 0.5]) for k in range(4100)]
+        small = [np.array([k, k + 0.25, k + 0.75]) for k in range(5)]
+        words = _philox_words(1, np.array([25039], dtype=np.uint64), 5)
+        assert _PoolDraws(big, 20).fill(words, np.empty(1)).tolist() == [0]
+        assert _PoolDraws(small, 20).fill(words, np.empty(1)).tolist() == []
+        B = 25040
+        small_areas, big_areas = _sample_areas(1, [small, big], 20, B)
+        tail = range(B - 64, B)
+        assert big_areas[list(tail)].tolist() == [_sample_area(i, 1, big, 20) for i in tail]
+        assert small_areas[list(tail)].tolist() == [_sample_area(i, 1, small, 20) for i in tail]
+        assert big_areas[25039] == 46024.0
+
+    def test_no_pools(self):
+        assert _sample_areas(0, [], 20, 10) == []
 
 
 def make_dist(samples, m=20):
