@@ -598,6 +598,12 @@ def load_manifest(path: str | Path) -> Manifest:
     return parse_manifest(doc)
 
 
+def _text(value: object, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ParseError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
 def parse_manifest(doc: object) -> Manifest:
     if not isinstance(doc, dict):
         raise ParseError("manifest must be a JSON object")
@@ -613,15 +619,14 @@ def parse_manifest(doc: object) -> Manifest:
     seen_names = set()
     for entry in planners_raw:
         try:
-            name = entry["name"]
+            name = _text(entry["name"], "planner name")
             category = Category(entry["category"])
-            levels = frozenset(Level.parse(lv) for lv in entry["levels"])
-        except UnknownLevel:
-            raise
+            level_names = entry["levels"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad planner entry {entry!r}: {exc}") from None
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"planner name must be a non-empty string, got {name!r}")
+        if not isinstance(level_names, list):
+            raise ParseError(f"levels of planner {name!r} must be a list, got {level_names!r}")
+        levels = frozenset(Level.parse(_text(lv, "level")) for lv in level_names)
         if name in seen_names:
             raise ParseError(f"duplicate planner name {name!r}")
         seen_names.add(name)
@@ -632,15 +637,14 @@ def parse_manifest(doc: object) -> Manifest:
     seen_cells: set[tuple[str, Level, SizeClass]] = set()
     for entry in sets_raw:
         try:
-            domain = entry["domain"]
-            level = Level.parse(entry["level"])
+            domain = _text(entry["domain"], "domain")
+            level_name = _text(entry["level"], "level")
             size_class = SizeClass(entry["size_class"])
             direction = QualityDirection(entry["quality_direction"])
             problems = entry["problems"]
-        except UnknownLevel:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad problem set entry: {exc}") from None
+        level = Level.parse(level_name)
         if not isinstance(problems, list) or not all(isinstance(p, str) for p in problems):
             raise ParseError(f"problems must be a list of strings in set {domain}/{level.value}")
         if not problems:

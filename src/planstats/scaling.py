@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .agreement import judge_ranks
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict, clamped_times
-from .ranking import rank_ascending
+from .ranking import mid_ranks, rank_ascending
 from .stattests import SpearmanResult, spearman_test
 
 DEFAULT_ALPHA = 0.05
@@ -101,12 +101,6 @@ def agreed_difficulty(
     return scores
 
 
-def _pooled_ranking(
-    difficulty: Mapping[str, Sequence[float]], domains: Sequence[str]
-) -> tuple[float, ...]:
-    return rank_ascending([score for domain in domains for score in difficulty[domain]])
-
-
 def difficulty_ranking(
     runs: Sequence[RunRecord],
     manifest: Manifest,
@@ -126,7 +120,7 @@ def difficulty_ranking(
     if not domains:
         raise EmptyDomainList("difficulty_ranking needs at least one domain")
     difficulty = agreed_difficulty(runs, manifest, level, category, size_class)
-    return _pooled_ranking(difficulty, domains)
+    return rank_ascending([score for domain in domains for score in difficulty[domain]])
 
 
 def scaling_comparison(
@@ -173,8 +167,9 @@ def scaling_comparison(
     times = clamped_times(grid.values["time_ms"][[grid.rows[a], grid.rows[b]]], cutoff_ms)
     per_problem = (times[0] - times[1]).tolist()
     # the pooled problems, in pooled_problems order
+    pooled_difficulty = [score for domain in domains for score in difficulty[domain]]
     differences = [d for domain in domains for d in per_problem[grid.spans[domain]]]
-    spearman = spearman_test(_pooled_ranking(difficulty, domains), rank_ascending(differences))
+    spearman = spearman_test(*mid_ranks([pooled_difficulty, differences]).tolist())
     if spearman.p_two_sided <= alpha and spearman.z != 0.0:
         # z = -rho*sqrt(n-1): positive rho (z < 0) means (a - b) grows
         # with difficulty, i.e. b scales better

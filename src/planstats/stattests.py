@@ -29,7 +29,7 @@ from .distributions import (
     two_sided_p_from_t,
     two_sided_p_from_z,
 )
-from .ranking import EmptyInput, rank_ascending
+from .ranking import EmptyInput, mid_ranks, rank_ascending
 
 
 class DegenerateStatisticWarning(UserWarning):
@@ -187,30 +187,16 @@ def wilcoxon_rows(differences: np.ndarray, n_input: Sequence[int]) -> list[Wilco
 
     Zero entries are dropped, so a row with fewer differences than the
     matrix is wide pads with zeros; ``n_input[i]`` is the number of
-    differences row i stands for.  One sort ranks every row's nonzero
-    absolute differences with mid-rank ties.  Ranks are half-integers, so
+    differences row i stands for.  One :func:`mid_ranks` call ranks every
+    row's nonzero absolute differences.  Ranks are half-integers, so
     the rank sums are exact in any summation order, and each row's z and
     p go through the same scalar formulas as a single test.
     """
     magnitudes = np.abs(differences)
     nonzero = magnitudes != 0.0
-    # dropped entries sort after every magnitude, +inf included
-    keys = np.where(nonzero, magnitudes, np.nan)
-    order = np.argsort(keys, axis=1)
-    keys = np.take_along_axis(keys, order, axis=1)
-    width = keys.shape[1]
-    position = np.arange(width)
-    starts = np.ones(keys.shape, dtype=bool)
-    starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    ends = np.ones(keys.shape, dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    # a tie spanning sorted positions i..j (0-based) shares rank (i+j+2)/2
-    first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
-    last = np.minimum.accumulate(np.where(ends, position, width - 1)[:, ::-1], axis=1)[:, ::-1]
-    ranks = (first + last + 2) / 2.0
-    signs = np.take_along_axis(differences, order, axis=1)
-    w_pos = np.where(signs > 0, ranks, 0.0).sum(axis=1)
-    w_neg = np.where(signs < 0, ranks, 0.0).sum(axis=1)
+    ranks = mid_ranks(np.where(nonzero, magnitudes, np.nan))
+    w_pos = np.where(differences > 0, ranks, 0.0).sum(axis=1)
+    w_neg = np.where(differences < 0, ranks, 0.0).sum(axis=1)
     m = nonzero.sum(axis=1)
     return [
         _wilcoxon_result(n, effective, pos, neg)

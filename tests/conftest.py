@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from planstats.dataio import Level, RunRecord, parse_manifest
@@ -43,3 +45,28 @@ def simple_manifest(planner_levels, problem_sets, category="fully-automated"):
         "problem_sets": problem_sets,
     }
     return parse_manifest(doc)
+
+
+# (entry, key, value) that make a manifest malformed: a planner's levels
+# that are not a list of level names, or a set's level or domain that is
+# not a non-empty string
+MALFORMED_MANIFEST_FIELDS = [
+    pytest.param("planner", "levels", "strips", id="levels-not-a-list"),
+    pytest.param("planner", "levels", [5], id="planner-level-int"),
+    pytest.param("planner", "levels", [""], id="planner-level-empty"),
+    pytest.param("set", "level", 5, id="set-level-int"),
+    pytest.param("set", "level", "", id="set-level-empty"),
+    pytest.param("set", "domain", 7, id="domain-int"),
+    pytest.param("set", "domain", "", id="domain-empty"),
+]
+
+
+def manifest_doc_with(entry, key, value):
+    """A one-planner, one-set manifest document with one field replaced."""
+    doc = {
+        "planners": [{"name": "a", "category": "fully-automated", "levels": ["strips"]}],
+        "problem_sets": [pset("d", "strips", 2)],
+    }
+    target = doc["planners"][0] if entry == "planner" else doc["problem_sets"][0]
+    target[key] = value
+    return doc

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MALFORMED_MANIFEST_FIELDS, manifest_doc_with
 from planstats import cli, dataio, hardness, pairwise
 from planstats.cli import main
 
@@ -57,6 +58,18 @@ class TestValidateCommand:
                     str(paths["manifest"]), "--out", str(tmp_path))
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "agreement"])
+    @pytest.mark.parametrize("entry, key, value", MALFORMED_MANIFEST_FIELDS)
+    def test_malformed_manifest_field_exits_2(self, tmp_path, capsys, command, entry, key, value):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(",".join(dataio.RUNS_HEADER) + "\na,d,strips,p01,1,5,,3,3\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(manifest_doc_with(entry, key, value)))
+        rc = invoke(command, "--runs", str(runs), "--manifest", str(manifest),
+                    "--out", str(tmp_path))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error: ")
 
     def test_checks_each_planner_and_level_once_not_each_record(self, tmp_path, monkeypatch):
         calls = {"planner": 0, "resolve": 0}

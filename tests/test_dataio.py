@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pset, run, simple_manifest
+from conftest import MALFORMED_MANIFEST_FIELDS, manifest_doc_with, pset, run, simple_manifest
 from planstats.dataio import (
     BadField,
     Category,
@@ -260,6 +260,11 @@ class TestManifest:
             parse_manifest([])
         with pytest.raises(ParseError):
             parse_manifest({"planners": []})
+
+    @pytest.mark.parametrize("entry, key, value", MALFORMED_MANIFEST_FIELDS)
+    def test_malformed_level_or_domain(self, entry, key, value):
+        with pytest.raises(ParseError):
+            parse_manifest(manifest_doc_with(entry, key, value))
 
     def test_duplicate_planner(self):
         with pytest.raises(ParseError):

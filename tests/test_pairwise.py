@@ -23,7 +23,7 @@ from planstats.pairwise import (
     pair_difference,
     transitive_alpha,
 )
-from planstats.ranking import WORST, rank_ascending
+from planstats.ranking import WORST
 from planstats.stattests import (
     Favored,
     ProportionResult,
@@ -31,6 +31,7 @@ from planstats.stattests import (
     WilcoxonResult,
     proportion_test,
 )
+from test_ranking import reference_ranks
 
 STRIPS = Level.STRIPS
 NUMERIC = Level.NUMERIC
@@ -212,12 +213,12 @@ def test_self_comparison_never_significant(dataset):
 
 
 def _reference_wilcoxon(differences):
-    """The matched-pairs rank-sum test one pair at a time, by rank_ascending."""
+    """The matched-pairs rank-sum test one pair at a time, by the reference ranks."""
     nonzero = [d for d in differences if d != 0.0]
     m = len(nonzero)
     if m == 0:
         return WilcoxonResult(len(differences), 0, 0.0, 0.0, 0.0, 0.0, 1.0, Favored.NONE)
-    ranks = rank_ascending([abs(d) for d in nonzero])
+    ranks = reference_ranks([abs(d) for d in nonzero])
     w_pos = sum(r for r, d in zip(ranks, nonzero) if d > 0)
     w_neg = sum(r for r, d in zip(ranks, nonzero) if d < 0)
     t_stat = min(w_pos, w_neg)

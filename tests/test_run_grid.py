@@ -38,8 +38,9 @@ from planstats.pairwise import (
     PlannerNotInLevel,
     build_pairs,
 )
-from planstats.ranking import WORST, is_worst, rank_ascending
+from planstats.ranking import WORST, is_worst
 from planstats.report import UnknownCell, fmt_float, series_csv
+from test_ranking import reference_ranks
 
 PLANNERS = ("a", "b", "c")
 DOMAINS = ("d1", "d2")
@@ -110,7 +111,7 @@ def reference_judge_ranks(runs, manifest, planner, domain, level, size_class):
     (ps,) = manifest.sets_at(level=level, size_class=size_class, domain=domain)
     by_key = index(runs)
     times = [solve_time(by_key, planner, domain, level, p) for p in ps.problems]
-    return rank_ascending([WORST if t is None else t for t in times])
+    return tuple(reference_ranks([WORST if t is None else t for t in times]))
 
 
 def reference_series(runs, manifest, domain, level, measure, size_class):

@@ -3,7 +3,6 @@ import pytest
 from conftest import pset, run, simple_manifest
 from planstats.dataio import Category, Level, SizeClass
 from planstats.hardness import Classification, HardnessVerdict, level_specific
-from planstats.ranking import rank_ascending
 from planstats.scaling import (
     EmptyDomainList,
     IncomparableReason,
@@ -14,6 +13,7 @@ from planstats.scaling import (
     pooled_problems,
     scaling_comparison,
 )
+from test_ranking import reference_ranks
 
 AUTO = Category.FULLY_AUTOMATED
 STRIPS = Level.STRIPS
@@ -112,10 +112,10 @@ class TestDifficultyRanking:
             per_judge = []
             for planner in ("a", "b", "c"):
                 times = [index[(planner, d, f"p{i:02d}")] for i in range(1, 8)]
-                per_judge.append(list(rank_ascending([float(t) for t in times])))
+                per_judge.append(reference_ranks([float(t) for t in times]))
             for pos in range(7):
                 scores.append(sum(j[pos] for j in per_judge) / 3)
-        assert list(got) == list(rank_ascending(scores))
+        assert list(got) == reference_ranks(scores)
 
     def test_empty_domains(self):
         runs, manifest = two_domain_dataset(lambda i: i, lambda i: i, n=3)

@@ -26,6 +26,7 @@ from planstats.stattests import (
     wilcoxon_matched_pairs,
     wilcoxon_rows,
 )
+from test_ranking import reference_ranks
 
 # zeros, ties and infinite magnitudes of either sign
 tied_diffs_with_infinities = st.lists(
@@ -114,7 +115,7 @@ def brute_force_exact_p(diffs, mid_p, t_obs=None):
     m = len(nonzero)
     if m == 0:
         return 1.0
-    ranks = list(rank_ascending([abs(d) for d in nonzero]))
+    ranks = reference_ranks([abs(d) for d in nonzero])
     total = sum(ranks)
     if t_obs is None:
         w_pos = sum(r for r, d in zip(ranks, nonzero) if d > 0)
@@ -178,7 +179,7 @@ class TestWilcoxonExact:
         # the normal test's rank sums are those wilcoxon_exact_p ranks by
         r = wilcoxon_matched_pairs(diffs)
         nonzero = [d for d in diffs if d != 0.0]
-        ranks = rank_ascending([abs(d) for d in nonzero]) if nonzero else ()
+        ranks = reference_ranks([abs(d) for d in nonzero])
         assert r.n_effective == len(nonzero)
         assert r.rank_sum_pos == sum(q for q, d in zip(ranks, nonzero) if d > 0)
         assert r.rank_sum_neg == sum(q for q, d in zip(ranks, nonzero) if d < 0)
