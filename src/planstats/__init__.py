@@ -50,6 +50,7 @@ from .scaling import (
     agreed_difficulty,
     eligible_domains,
     scaling_comparison,
+    scaling_comparisons,
 )
 from .ranking import WORST, rank_ascending
 from .stattests import (

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
 from .pairwise import NoProblems, _check_entered
-from .ranking import WORST, rank_ascending
+from .ranking import WORST, mid_ranks
 from .stattests import MrcResult, mrc_test
 
 # judges must have attempted at least this share of a cell's problems;
@@ -50,21 +50,42 @@ def judge_ranks(
     level: Level,
     size_class: SizeClass = SizeClass.SMALL,
 ) -> tuple[float, ...]:
-    """One planner's difficulty ranking of a problem set by solve time.
-
-    Unsolved and unattempted problems map to WORST and tie at the top
-    via mid-ranks.
+    """One planner's difficulty ranking of a problem set by solve time:
+    the one-row call of :func:`judge_rank_rows`.
 
     Raises:
         PlannerNotInLevel: if the planner did not enter the level.
         NoProblems: if the cell has no problem set.
     """
-    _check_entered(manifest, planner, level)
+    return tuple(judge_rank_rows(runs, manifest, [planner], domain, level, size_class)[0].tolist())
+
+
+def judge_rank_rows(
+    runs: Sequence[RunRecord],
+    manifest: Manifest,
+    planners: Sequence[str],
+    domain: str,
+    level: Level,
+    size_class: SizeClass = SizeClass.SMALL,
+) -> np.ndarray:
+    """Each planner's difficulty ranking of a problem set by solve time,
+    one row per planner, ranked in one :func:`mid_ranks` call.
+
+    Unsolved and unattempted problems map to WORST and tie at the top
+    via mid-ranks.
+
+    Raises:
+        PlannerNotInLevel: if a planner did not enter the level.
+        NoProblems: if the cell has no problem set.
+    """
+    for planner in planners:
+        _check_entered(manifest, planner, level)
     grid = RunTable.of(runs).grid(manifest, level, size_class)
     if domain not in grid.spans:
         raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
-    times = grid.values["time_ms"][grid.rows[planner], grid.spans[domain]]
-    return rank_ascending(np.where(np.isnan(times), WORST, times).tolist())
+    rows = [grid.rows[planner] for planner in planners]
+    times = grid.values["time_ms"][rows, grid.spans[domain]]
+    return mid_ranks(np.where(np.isnan(times), WORST, times))
 
 
 def _eligible_judges(

@@ -293,21 +293,17 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
             if len(names) < 2:
                 continue
             difficulty = scaling_mod.agreed_difficulty(runs, manifest, level, category, size)
-            results = [
-                scaling_mod.scaling_comparison(
-                    runs,
-                    manifest,
-                    a,
-                    b,
-                    level,
-                    verdicts,
-                    difficulty,
-                    size_class=size,
-                    cutoff_ms=config.cutoff_ms,
-                    alpha=config.alpha_scaling,
-                )
-                for a, b in all_pairs(names)
-            ]
+            results = scaling_mod.scaling_comparisons(
+                runs,
+                manifest,
+                all_pairs(names),
+                level,
+                verdicts,
+                difficulty,
+                size_class=size,
+                cutoff_ms=config.cutoff_ms,
+                alpha=config.alpha_scaling,
+            )
             extra = {"category": args.category, "level": level.value, "size": size.value}
             text = render_scaling_text(results, level)
             _write_table(config, dataset_hash, "scaling", extra, text, scaling_csv_rows(results))

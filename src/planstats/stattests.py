@@ -5,7 +5,8 @@ All tests return structured results carrying the intermediate quantities
 and its two-sided p-value, so report renderers can show the same detail
 as the published tables.  The matched-pairs rank-sum test also takes a
 matrix with one row of differences per pair (:func:`wilcoxon_rows`), so a
-cell's pairs are tested in one pass.
+cell's pairs are tested in one pass, and the Spearman test two rank
+matrices (:func:`spearman_rows`), so a level's scaling pairs are too.
 
 Sign conventions: a *positive* difference in the Wilcoxon test is a win
 for the first subject; degenerate statistics (zero variance, perfect
@@ -350,7 +351,8 @@ def spearman_test(x_ranks: Sequence[float], y_ranks: Sequence[float]) -> Spearma
 
     R is the sum of squared per-position rank differences and
     z = (6R - n(n^2-1)) / (n(n+1) sqrt(n-1)).  Below n = 10 a
-    SmallSampleWarning is emitted alongside the result.
+    SmallSampleWarning is emitted alongside the result.  This is a
+    one-row call of :func:`spearman_rows`.
 
     Raises:
         LengthMismatch: if the vectors differ in length.
@@ -358,25 +360,51 @@ def spearman_test(x_ranks: Sequence[float], y_ranks: Sequence[float]) -> Spearma
     """
     if len(x_ranks) != len(y_ranks):
         raise LengthMismatch(f"rank vectors differ in length: {len(x_ranks)} vs {len(y_ranks)}")
-    n = len(x_ranks)
-    if n == 0:
+    if len(x_ranks) == 0:
         raise EmptyInput("spearman_test needs at least one pair of ranks")
-    if n < 10:
-        warnings.warn(
-            f"spearman_test with n={n} < 10: normal approximation unreliable",
-            SmallSampleWarning,
-            stacklevel=2,
-        )
-    big_r = sum((x - y) ** 2 for x, y in zip(x_ranks, y_ranks))
-    # a constant rank vector (everything tied) carries no ordering
-    # information; the untied-rank z formula would report a spurious
-    # correlation there, so report zero correlation instead
-    degenerate = n == 1 or len(set(x_ranks)) == 1 or len(set(y_ranks)) == 1
-    if degenerate:
-        z = 0.0
-    else:
-        z = (6.0 * big_r - n * (n**2 - 1)) / (n * (n + 1) * math.sqrt(n - 1))
-    return SpearmanResult(n=n, R=big_r, z=z, p_two_sided=two_sided_p_from_z(z))
+    return spearman_rows(np.array([x_ranks], dtype=float), np.array([y_ranks], dtype=float))[0]
+
+
+def spearman_rows(x_ranks: np.ndarray, y_ranks: np.ndarray) -> list[SpearmanResult]:
+    """The Spearman test of each row pair of two rank matrices.
+
+    NaN marks a left-out position, at the same places in both matrices;
+    row i is the test of the two rows' other entries.  Ranks are
+    half-integers, so each R is exact in any summation order, and each
+    row's z and p go through the same scalar formulas as a single test.
+    A SmallSampleWarning is emitted for each row with n < 10, in row
+    order.
+
+    Raises:
+        LengthMismatch: if the matrices differ in shape.
+        EmptyInput: if a row has no pair of ranks.
+    """
+    if x_ranks.shape != y_ranks.shape:
+        raise LengthMismatch(f"rank matrices differ in shape: {x_ranks.shape} vs {y_ranks.shape}")
+    ns = (~np.isnan(x_ranks)).sum(axis=1).tolist()
+    if 0 in ns:
+        raise EmptyInput("spearman_rows needs at least one pair of ranks in each row")
+    big_rs = np.nansum((x_ranks - y_ranks) ** 2, axis=1).tolist()
+    # a constant rank vector (everything tied, or n = 1) carries no
+    # ordering information; the untied-rank z formula would report a
+    # spurious correlation there, so report zero correlation instead
+    constant = (np.nanmin(x_ranks, axis=1) == np.nanmax(x_ranks, axis=1)) | (
+        np.nanmin(y_ranks, axis=1) == np.nanmax(y_ranks, axis=1)
+    )
+    results = []
+    for n, big_r, degenerate in zip(ns, big_rs, constant.tolist()):
+        if n < 10:
+            warnings.warn(
+                f"spearman_test with n={n} < 10: normal approximation unreliable",
+                SmallSampleWarning,
+                stacklevel=2,
+            )
+        if degenerate:
+            z = 0.0
+        else:
+            z = (6.0 * big_r - n * (n**2 - 1)) / (n * (n + 1) * math.sqrt(n - 1))
+        results.append(SpearmanResult(n=n, R=big_r, z=z, p_two_sided=two_sided_p_from_z(z)))
+    return results
 
 
 def mrc_test(rank_matrix: Sequence[Sequence[float]]) -> MrcResult:

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import pset, run, simple_manifest
 from planstats.agreement import (
     TooFewJudges,
     agreement_table,
     agreement_test,
+    judge_rank_rows,
     judge_ranks,
 )
 from planstats.dataio import Category, Level, SizeClass
@@ -57,6 +61,27 @@ class TestJudgeRanks:
         runs, manifest = cell_dataset({"a": [5]})
         with pytest.raises(PlannerNotInLevel):
             judge_ranks(runs, manifest, "zz", "d", Level.STRIPS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_are_the_one_planner_rankings(self, data):
+        n = data.draw(st.integers(1, 8))
+        cell = st.one_of(st.none(), st.just("skip"), st.integers(1, 5).map(lambda t: 10 * t))
+        names = ["a", "b", "c", "d"][: data.draw(st.integers(1, 4))]
+        runs, manifest = cell_dataset(
+            {name: data.draw(st.lists(cell, min_size=n, max_size=n)) for name in names}
+        )
+        planners = data.draw(st.lists(st.sampled_from(names), max_size=5))
+        rows = judge_rank_rows(runs, manifest, planners, "d", Level.STRIPS)
+        assert rows.shape == (len(planners), n)
+        assert [tuple(row) for row in rows.tolist()] == [
+            judge_ranks(runs, manifest, planner, "d", Level.STRIPS) for planner in planners
+        ]
+
+    def test_rows_check_every_planner(self):
+        runs, manifest = cell_dataset({"a": [5, 7]})
+        with pytest.raises(PlannerNotInLevel, match="'zz'"):
+            judge_rank_rows(runs, manifest, ["a", "zz"], "d", Level.STRIPS)
 
 
 class TestAgreementTest:

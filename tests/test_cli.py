@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_MANIFEST_FIELDS, manifest_doc_with
-from planstats import cli, dataio, hardness, pairwise
+from planstats import cli, dataio, hardness, pairwise, ranking
 from planstats.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -239,6 +239,31 @@ class TestBootstrapWordsShared:
         sizes = dataio.sizes_faced(dataio.Category.FULLY_AUTOMATED)
         assert len(calls) == -(-B // hardness._CHUNK) * len(sizes)
         assert sum(calls) == B * len(sizes)
+
+
+class TestScalingBatched:
+    """A scaling command ranks a level's pair differences in one call, each
+    distinct pooled difficulty in one, and each problem set's judges in
+    one."""
+
+    def test_mid_ranks_calls(self, tmp_path, monkeypatch):
+        calls = []
+        original = ranking.mid_ranks
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        for name, module in list(sys.modules.items()):
+            if name == "planstats" or name.startswith("planstats."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        assert invoke("scaling", *common(tmp_path)) == 0
+        manifest = dataio.load_manifest(MANIFEST)
+        # at most a difficulty and a difference ranking per level, and one
+        # judge ranking per problem set
+        assert 0 < len(calls) <= 2 * len(manifest.levels()) + len(manifest.problem_sets)
 
 
 class TestAgreementCommand:

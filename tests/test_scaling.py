@@ -1,19 +1,38 @@
+import math
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pset, run, simple_manifest
-from planstats.dataio import Category, Level, SizeClass
-from planstats.hardness import Classification, HardnessVerdict, level_specific
+from planstats.dataio import Category, Level, RunTable, SizeClass
+from planstats.distributions import two_sided_p_from_z
+from planstats.hardness import (
+    DEFAULT_CUTOFF_MS,
+    Classification,
+    HardnessVerdict,
+    clamped_times,
+    level_specific,
+)
+from planstats.pairwise import NoProblems
 from planstats.scaling import (
+    DEFAULT_ALPHA,
+    MIN_AGREED_DOMAINS,
     EmptyDomainList,
     IncomparableReason,
+    ScalingResult,
     Verdict,
     agreed_difficulty,
     difficulty_ranking,
     eligible_domains,
     pooled_problems,
     scaling_comparison,
+    scaling_comparisons,
 )
+from planstats.stattests import SmallSampleWarning, SpearmanResult
 from test_ranking import reference_ranks
+from test_run_grid import reference_judge_ranks
 
 AUTO = Category.FULLY_AUTOMATED
 STRIPS = Level.STRIPS
@@ -210,3 +229,166 @@ class TestScalingComparison:
         runs, manifest = two_domain_dataset(lambda i: i, lambda i: i, n=2)
         pooled = pooled_problems(manifest, STRIPS, ["d2", "d1"])
         assert pooled == [("d2", "p01"), ("d2", "p02"), ("d1", "p01"), ("d1", "p02")]
+
+
+class TestMissingProblemSet:
+    """An eligible domain without a set at the level and size class is
+    named, not a bare KeyError."""
+
+    def dataset(self):
+        manifest = simple_manifest(
+            {"a": ["strips"], "b": ["strips"]},
+            [
+                pset("depots", "strips", 3),
+                pset("transport", "strips", 3, size="large"),
+                pset("rovers", "strips", 3),
+                pset("rovers", "strips", 4, size="large", prefix="q"),
+            ],
+        )
+        runs = [
+            run(planner, ps.domain, "strips", problem, 10 * i)
+            for planner in ("a", "b")
+            for ps in manifest.problem_sets
+            for i, problem in enumerate(ps.problems, start=1)
+        ]
+        return runs, manifest
+
+    def test_domain_without_a_set(self):
+        runs, manifest = self.dataset()
+        # verdicts of the large sets, difficulty of the small ones
+        verdicts = neither_verdicts(["a", "b"], domains=("transport", "rovers"))
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        with pytest.raises(NoProblems, match="small problem set for transport/strips"):
+            scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty)
+
+    def test_difficulty_of_another_size_class(self):
+        runs, manifest = self.dataset()
+        verdicts = neither_verdicts(["a", "b"], domains=("transport", "rovers"))
+        difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+        with pytest.raises(NoProblems, match="large problem set of rovers/strips"):
+            scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty,
+                               size_class=SizeClass.LARGE)
+
+
+def reference_spearman(x_ranks, y_ranks):
+    """The Spearman test of two rank lists, summed left to right."""
+    n = len(x_ranks)
+    if n < 10:
+        warnings.warn(
+            f"spearman_test with n={n} < 10: normal approximation unreliable",
+            SmallSampleWarning,
+        )
+    big_r = sum((x - y) ** 2 for x, y in zip(x_ranks, y_ranks))
+    if n == 1 or len(set(x_ranks)) == 1 or len(set(y_ranks)) == 1:
+        z = 0.0
+    else:
+        z = (6.0 * big_r - n * (n**2 - 1)) / (n * (n + 1) * math.sqrt(n - 1))
+    return SpearmanResult(n=n, R=big_r, z=z, p_two_sided=two_sided_p_from_z(z))
+
+
+def reference_scaling_comparison(
+    runs, manifest, a, b, level, hardness, difficulty,
+    size_class=SizeClass.SMALL, cutoff_ms=DEFAULT_CUTOFF_MS, alpha=DEFAULT_ALPHA,
+):
+    """One pair's scaling verdict computed alone: the pooled problems in
+    pooled_problems order, ranked by the scalar rank and Spearman
+    references."""
+
+    def result(domains, reason, n=0, spearman=None, verdict=Verdict.INCOMPARABLE):
+        return ScalingResult(a, b, level, tuple(domains), n, spearman, verdict, reason)
+
+    entry_a = manifest.planner(a)
+    entry_b = manifest.planner(b)
+    if (
+        entry_a is None
+        or entry_b is None
+        or level not in entry_a.levels_entered
+        or level not in entry_b.levels_entered
+    ):
+        return result((), IncomparableReason.NO_SHARED_TRACK)
+    domains = eligible_domains(hardness.get(a, {}), hardness.get(b, {}))
+    if len(domains) < MIN_AGREED_DOMAINS:
+        return result(domains, IncomparableReason.INSUFFICIENT_AGREEMENT)
+    grid = RunTable.of(runs).grid(manifest, level, size_class)
+    times = clamped_times(grid.values["time_ms"][[grid.rows[a], grid.rows[b]]], cutoff_ms)
+    per_problem = (times[0] - times[1]).tolist()
+    pooled_difficulty = [score for domain in domains for score in difficulty[domain]]
+    differences = [d for domain in domains for d in per_problem[grid.spans[domain]]]
+    spearman = reference_spearman(reference_ranks(pooled_difficulty), reference_ranks(differences))
+    if spearman.p_two_sided <= alpha and spearman.z != 0.0:
+        verdict = Verdict.B_SCALES_BETTER if spearman.z < 0 else Verdict.A_SCALES_BETTER
+    else:
+        verdict = Verdict.NO_DIFFERENCE
+    return result(domains, None, len(differences), spearman, verdict)
+
+
+@st.composite
+def scaling_levels(draw):
+    """A strips level with 2-6 planners, a planner outside it, 2-4 domains
+    of 2-12 problems, tied, unsolved, unattempted and constant times, and
+    random verdict maps."""
+    names = ["p1", "p2", "p3", "p4", "p5", "p6"][: draw(st.integers(2, 6))]
+    domains = ["d1", "d2", "d3", "d4"][: draw(st.integers(2, 4))]
+    sizes = {d: draw(st.one_of(st.integers(2, 4), st.integers(2, 12))) for d in domains}
+    manifest = simple_manifest(
+        {**{name: ["strips"] for name in names}, "outsider": ["numeric"]},
+        [pset(d, "strips", sizes[d]) for d in domains] + [pset("d1", "numeric", 2, prefix="n")],
+    )
+    constant = draw(st.sampled_from([None, *names]))
+    runs = []
+    for name in names:
+        for d in domains:
+            for i in range(1, sizes[d] + 1):
+                state = draw(st.integers(0, 4))
+                if state == 0:
+                    continue
+                time_ms = None if state == 1 else 10 * draw(st.integers(1, 6))
+                if name == constant:
+                    time_ms = 30
+                runs.append(run(name, d, "strips", f"p{i:02d}", time_ms))
+    # mostly one verdict a domain, so that most pairs are tested
+    classes = st.sampled_from([EASY, HARD, NEITHER])
+    shared = {d: draw(classes) for d in domains}
+    verdicts = {
+        name: {
+            d: verdict(name, d, shared[d] if draw(st.integers(0, 5)) else draw(classes))
+            for d in domains
+            if draw(st.integers(0, 7))
+        }
+        for name in names
+        if draw(st.integers(0, 7))
+    }
+    candidates = [(a, b) for a in names + ["outsider"] for b in names if a != b]
+    pairs = draw(st.lists(st.sampled_from(candidates + [(names[0], names[0])]),
+                          min_size=1, max_size=8))
+    cutoff_ms = draw(st.sampled_from([45, DEFAULT_CUTOFF_MS]))
+    return runs, manifest, verdicts, pairs, cutoff_ms
+
+
+def recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaling_levels(), st.sampled_from([DEFAULT_ALPHA, 0.5]))
+def test_scaling_comparisons_match_per_pair_reference(level_case, alpha):
+    runs, manifest, verdicts, pairs, cutoff_ms = level_case
+    difficulty = agreed_difficulty(runs, manifest, STRIPS, AUTO)
+    judges = [p.name for p in manifest.planners_in(AUTO, STRIPS)]
+    for ps in manifest.sets_at(level=STRIPS, size_class=SizeClass.SMALL):
+        per_judge = [reference_judge_ranks(runs, manifest, j, ps.domain, STRIPS, SizeClass.SMALL)
+                     for j in judges]
+        assert difficulty[ps.domain] == [sum(r) / len(judges) for r in zip(*per_judge)]
+
+    got, got_warnings = recorded(lambda: scaling_comparisons(
+        runs, manifest, pairs, STRIPS, verdicts, difficulty, cutoff_ms=cutoff_ms, alpha=alpha))
+    expected, expected_warnings = recorded(lambda: [
+        reference_scaling_comparison(runs, manifest, a, b, STRIPS, verdicts, difficulty,
+                                     cutoff_ms=cutoff_ms, alpha=alpha)
+        for a, b in pairs
+    ])
+    assert [repr(r) for r in got] == [repr(r) for r in expected]
+    assert got_warnings == expected_warnings

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from planstats.stattests import (
     mrc_test,
     paired_t_normalized,
     proportion_test,
+    spearman_rows,
     spearman_test,
     wilcoxon_exact_p,
     wilcoxon_matched_pairs,
@@ -328,6 +330,44 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             spearman_test(self._ranks(range(10)), self._ranks(range(11)))
+
+    def test_rows_shape_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            spearman_rows(np.ones((2, 3)), np.ones((2, 4)))
+
+    def test_row_without_pairs(self):
+        x = np.array([[1.0, 2.0], [math.nan, math.nan]])
+        with pytest.raises(EmptyInput):
+            spearman_rows(x, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_match_one_row_calls(self, data):
+        width = data.draw(st.integers(1, 14))
+        n_rows = data.draw(st.integers(1, 5))
+        x, y, kept = np.full((n_rows, width), np.nan), np.full((n_rows, width), np.nan), []
+        for i in range(n_rows):
+            columns = data.draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True))
+            values = st.lists(st.integers(0, 4), min_size=len(columns), max_size=len(columns))
+            x[i, columns] = reference_ranks(data.draw(values))
+            y[i, columns] = reference_ranks(data.draw(values))
+            kept.append(sorted(columns))
+        with warnings.catch_warnings(record=True) as together:
+            warnings.simplefilter("always")
+            rows = spearman_rows(x, y)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            singles = [spearman_test(x[i, c].tolist(), y[i, c].tolist()) for i, c in enumerate(kept)]
+        assert [repr(r) for r in rows] == [repr(r) for r in singles]
+        assert [(w.category, str(w.message)) for w in together] == [
+            (w.category, str(w.message)) for w in alone
+        ]
+        # half-integer ranks: R does not depend on the order of the columns
+        order = data.draw(st.permutations(range(width)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            permuted = spearman_rows(x[:, order], y[:, order])
+        assert [repr(r) for r in permuted] == [repr(r) for r in rows]
 
 
 class TestMrc:
