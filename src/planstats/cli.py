@@ -12,6 +12,7 @@ stderr), 3 degenerate-statistics warning escalated by --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import warnings
@@ -263,7 +264,15 @@ def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int
     for size in _sizes_for(args, category):
         # the level-specific table, then the level-independent one
         tables = _hardness_tables(runs, manifest, category, size, config, (True, False))
-        extra = {"category": args.category, "size": size.value}
+        extra = {"category": args.category}
+        if args.level:
+            level = Level.parse(args.level)
+            tables = [
+                dataclasses.replace(t, verdicts=tuple(v for v in t.verdicts if v.level is level))
+                for t in tables
+            ]
+            extra["level"] = args.level
+        extra["size"] = size.value
         print(f"-- {size.value} problems --")
         text = render_hardness_text(*tables)
         _write_table(config, dataset_hash, "hardness", extra, text, hardness_csv_rows(tables))
@@ -273,11 +282,13 @@ def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int
 def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
     results = agreement_mod.agreement_table(runs, manifest, category, config.alpha_agreement)
-    if args.size:
-        results = [r for r in results if r.size_class is SizeClass(args.size)]
+    extra = {"category": args.category}
     if args.level:
         results = [r for r in results if r.level is Level.parse(args.level)]
-    extra = {"category": args.category}
+        extra["level"] = args.level
+    if args.size:
+        results = [r for r in results if r.size_class is SizeClass(args.size)]
+        extra["size"] = args.size
     text = render_agreement_text(results)
     _write_table(config, dataset_hash, "agreement", extra, text, agreement_csv_rows(results))
     return 0

@@ -18,6 +18,21 @@ sampler ``_sample_area`` gives.  Since a sample's words do not depend on
 the pool, a command computes each chunk's word block once and every pool
 of the command draws from it (``bootstrap_distributions``); the block is
 passed along inside the call and kept nowhere after it.
+
+Draw layout: a sample's 32-bit words go first to its m problem draws (none
+when the pool has one problem), then one word to each drawn problem's
+planner draw, in draw order, skipping the draws over a single planner,
+which consume no word.  So each planner draw's word is found by the
+running count of consuming draws before it.  When every problem of the
+pool has two or more planners, no draw is skipped and a sample's planner
+words are the plain slice of the m words after its problem words, which
+is faster to read than the running count.
+
+The verdicts are computed a set and a pool at a time: ``subject_areas``
+finds every subject's area over one problem set, ``classify_subjects``
+places every subject of one pool in its distribution, and
+``subject_area``, ``difficulty_area``, ``classify`` and ``percentile_of``
+are their one-row calls.
 """
 
 from __future__ import annotations
@@ -161,6 +176,17 @@ def clamped_times(times: Sequence[float | None] | np.ndarray, cutoff_ms: int) ->
     return np.minimum(np.where(np.isnan(times), float(cutoff_ms), times), float(cutoff_ms))
 
 
+def _row_areas(times: np.ndarray, cutoff_ms: int) -> np.ndarray:
+    """Each row's difficulty area: its cutoff-clamped times summed left to
+    right from 0.0, as each bootstrap sample adds them, not in np.sum's
+    pairwise order (+ 0.0 turns an all -0.0 row's sum into 0.0)."""
+    if cutoff_ms <= 0:
+        raise ValueError(f"cutoff_ms must be positive, got {cutoff_ms}")
+    if times.shape[1] == 0:
+        raise EmptyInput("difficulty_area needs at least one time")
+    return np.cumsum(clamped_times(times, cutoff_ms), axis=1)[:, -1] + 0.0
+
+
 def difficulty_area(times: Sequence[float | None], cutoff_ms: int) -> float:
     """Sum of cutoff-clamped solve times; None or NaN (unsolved) pays the cutoff.
 
@@ -171,12 +197,48 @@ def difficulty_area(times: Sequence[float | None], cutoff_ms: int) -> float:
         EmptyInput: if no times are supplied.
         ValueError: if the cutoff is not positive.
     """
-    if cutoff_ms <= 0:
-        raise ValueError(f"cutoff_ms must be positive, got {cutoff_ms}")
-    if len(times) == 0:
-        raise EmptyInput("difficulty_area needs at least one time")
-    # left to right like each bootstrap sample's area, not in np.sum's pairwise order
-    return float(sum(clamped_times(times, cutoff_ms).tolist()))
+    return float(_row_areas(np.array([times], dtype=float), cutoff_ms)[0])
+
+
+def subject_areas(
+    runs: Sequence[RunRecord],
+    manifest: Manifest,
+    planners: Sequence[str],
+    domain: str,
+    level: Level,
+    size_class: SizeClass = SizeClass.SMALL,
+    cutoff_ms: int = DEFAULT_CUTOFF_MS,
+) -> list[DifficultyArea]:
+    """Difficulty area of each planner over one problem set, in planner order.
+
+    Unattempted problems count as unsolved, and so does every problem of a
+    planner with no record at the level.
+
+    Raises:
+        EmptyPool: if the level has no such problem set of the size class.
+        EmptyInput: if the problem set has no problems.
+        ValueError: if the cutoff is not positive.
+    """
+    grid = RunTable.of(runs).grid(manifest, level, size_class)
+    if domain not in grid.spans:
+        raise EmptyPool(f"no {size_class.value} problem set for {domain}/{level.value}")
+    span = grid.spans[domain]
+    times = np.full((len(planners), span.stop - span.start), np.nan)
+    known = [k for k, name in enumerate(planners) if name in grid.rows]
+    times[known] = grid.values["time_ms"][[grid.rows[planners[k]] for k in known], span]
+    areas = _row_areas(times, cutoff_ms)
+    return [
+        DifficultyArea(
+            planner=name,
+            domain=domain,
+            level=level,
+            size_class=size_class,
+            area_ms=area,
+            n_problems=times.shape[1],
+            cutoff_ms=cutoff_ms,
+        )
+        for name, area in zip(planners, areas.tolist())
+    ]
 
 
 def subject_area(
@@ -188,27 +250,10 @@ def subject_area(
     size_class: SizeClass = SizeClass.SMALL,
     cutoff_ms: int = DEFAULT_CUTOFF_MS,
 ) -> DifficultyArea:
-    """Difficulty area of one planner over one problem set.
-
-    Unattempted problems count as unsolved.
-    """
-    grid = RunTable.of(runs).grid(manifest, level, size_class)
-    if domain not in grid.spans:
-        raise EmptyPool(f"no {size_class.value} problem set for {domain}/{level.value}")
-    span = grid.spans[domain]
-    if planner in grid.rows:
-        times = grid.values["time_ms"][grid.rows[planner], span]
-    else:  # no record at the level and not in the manifest
-        times = [None] * (span.stop - span.start)
-    return DifficultyArea(
-        planner=planner,
-        domain=domain,
-        level=level,
-        size_class=size_class,
-        area_ms=difficulty_area(times, cutoff_ms),
-        n_problems=len(times),
-        cutoff_ms=cutoff_ms,
-    )
+    """Difficulty area of one planner over one problem set: the one-planner
+    call of ``subject_areas``."""
+    (subject,) = subject_areas(runs, manifest, [planner], domain, level, size_class, cutoff_ms)
+    return subject
 
 
 def _pool_timings(
@@ -299,7 +344,8 @@ class _PoolDraws:
 
     The draws follow ``Generator.integers``: m problem draws, then one
     planner draw per drawn problem, each a Lemire reduction (u * n) >> 32 of
-    one 32-bit word; a draw over a single value consumes no word.
+    one 32-bit word; a draw over a single value consumes no word (see the
+    module docstring for the layout).
     """
 
     def __init__(self, per_problem: list[np.ndarray], m: int) -> None:
@@ -314,19 +360,27 @@ class _PoolDraws:
         self.problem_threshold = np.uint64(((1 << 32) - self.n_problems) % self.n_problems)
         self.problem_words = m if self.n_problems > 1 else 0
         self.n_blocks = -(-(self.problem_words + m) // 8)
+        self.every_draw_consumes = bool(self.lens.min() > 1)
 
     def fill(self, words: np.ndarray, area: np.ndarray) -> np.ndarray:
         """Write each row's sample area into ``area``; return the rows with
         a rejected draw, whose areas are wrong."""
-        m = self.m
+        m, first = self.m, self.problem_words
         scaled = words[:, :m] * np.uint64(self.n_problems)
-        drawn = (scaled >> _SHIFT32).astype(np.intp)
+        # the draws are below 2**32, so reading them as int64 is exact
+        drawn = (scaled >> _SHIFT32).view(np.int64)
         rejected = ((scaled & _UINT32_MASK) < self.problem_threshold).any(axis=1)
         n_planners = self.lens[drawn]
-        consumes = n_planners > 1
-        position = self.problem_words + np.cumsum(consumes, axis=1) - consumes
-        scaled = np.take_along_axis(words, position, axis=1) * n_planners
-        planner = (scaled >> _SHIFT32).astype(np.intp)
+        if self.every_draw_consumes:
+            planner_words = words[:, first : first + m]
+        else:
+            # a draw's word follows the problem words and the consuming draws before it
+            consumes = n_planners > 1
+            position = np.cumsum(consumes, axis=1) - consumes
+            row_start = np.arange(0, words.size, words.shape[1])[:, None]
+            planner_words = words.ravel()[row_start + first + position]
+        scaled = planner_words * n_planners
+        planner = (scaled >> _SHIFT32).view(np.int64)
         rejected |= ((scaled & _UINT32_MASK) < self.thresholds[drawn]).any(axis=1)
         values = self.flat[self.starts[drawn] + planner]
         area[:] = 0.0
@@ -435,51 +489,72 @@ def bootstrap_distribution(
     return dists[pool_kind]
 
 
-def percentile_of(area: float, samples: Sequence[float]) -> float:
-    """Mid-p percentile of an area within a sample set (ties count half)."""
-    return _sorted_percentile(area, np.sort(np.array(samples, dtype=float)))
-
-
-def _sorted_percentile(area: float, ordered: np.ndarray) -> float:
-    """``percentile_of`` over samples already in ascending order."""
-    below = int(np.searchsorted(ordered, area, side="left"))
-    not_above = int(np.searchsorted(ordered, area, side="right"))
+def _percentiles(areas: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Mid-p percentile of each area within samples in ascending order."""
+    below = np.searchsorted(ordered, areas, side="left")
+    not_above = np.searchsorted(ordered, areas, side="right")
     return (below + 0.5 * (not_above - below)) / len(ordered)
 
 
-def classify(subject: DifficultyArea, dist: BootstrapDistribution) -> HardnessVerdict:
-    """Easy/Hard/Neither verdict for a subject against a distribution.
+def percentile_of(area: float, samples: Sequence[float]) -> float:
+    """Mid-p percentile of an area within a sample set (ties count half)."""
+    if len(samples) == 0:
+        raise EmptyInput("percentile_of needs at least one sample")
+    ordered = np.sort(np.array(samples, dtype=float))
+    return float(_percentiles(np.array([area], dtype=float), ordered)[0])
+
+
+def classify_subjects(
+    subjects: Sequence[DifficultyArea], dist: BootstrapDistribution
+) -> list[HardnessVerdict]:
+    """Easy/Hard/Neither verdict for each subject against one distribution.
 
     A subject whose problem count differs from the distribution's sample
     size m is compared after rescaling its area by m/n_problems, keeping
     the statistic comparable across 16/20/22-problem sets.
 
     Raises:
+        SampleSizeMismatch: if a subject has no problems.
+    """
+    n_problems = np.array([s.n_problems for s in subjects], dtype=np.int64)
+    if (n_problems <= 0).any():
+        raise SampleSizeMismatch("subject has no problems")
+    areas = np.array([s.area_ms for s in subjects], dtype=float)
+    rescale = n_problems != dist.m
+    areas[rescale] *= dist.m / n_problems[rescale]
+    verdicts = []
+    for subject, pct in zip(subjects, _percentiles(areas, dist._ordered).tolist()):
+        if pct <= EASY_TAIL:
+            classification = Classification.EASY
+        elif pct >= HARD_TAIL:
+            classification = Classification.HARD
+        else:
+            classification = Classification.NEITHER
+        verdicts.append(
+            HardnessVerdict(
+                planner=subject.planner,
+                domain=subject.domain,
+                level=subject.level,
+                size_class=subject.size_class,
+                pool_kind=dist.pool_kind,
+                area_ms=subject.area_ms,
+                n_problems=subject.n_problems,
+                percentile=pct,
+                classification=classification,
+            )
+        )
+    return verdicts
+
+
+def classify(subject: DifficultyArea, dist: BootstrapDistribution) -> HardnessVerdict:
+    """Easy/Hard/Neither verdict for a subject against a distribution: the
+    one-subject call of ``classify_subjects``.
+
+    Raises:
         SampleSizeMismatch: if the subject has no problems.
     """
-    if subject.n_problems <= 0:
-        raise SampleSizeMismatch("subject has no problems")
-    area = subject.area_ms
-    if subject.n_problems != dist.m:
-        area = area * (dist.m / subject.n_problems)
-    pct = _sorted_percentile(area, dist._ordered)
-    if pct <= EASY_TAIL:
-        classification = Classification.EASY
-    elif pct >= HARD_TAIL:
-        classification = Classification.HARD
-    else:
-        classification = Classification.NEITHER
-    return HardnessVerdict(
-        planner=subject.planner,
-        domain=subject.domain,
-        level=subject.level,
-        size_class=subject.size_class,
-        pool_kind=dist.pool_kind,
-        area_ms=subject.area_ms,
-        n_problems=subject.n_problems,
-        percentile=pct,
-        classification=classification,
-    )
+    (verdict,) = classify_subjects([subject], dist)
+    return verdict
 
 
 def hardness_tables(
@@ -496,11 +571,14 @@ def hardness_tables(
 ) -> list[HardnessTable]:
     """``hardness_table`` for each pool mode in ``level_specific_pools``.
 
-    The tables share their subjects' areas and one call of
-    ``bootstrap_distributions`` for every pool they compare against.
+    The tables share their subjects' areas, found with one
+    ``subject_areas`` call per problem set, and one call of
+    ``bootstrap_distributions`` for every pool they compare against; each
+    table classifies the subjects of a pool with one ``classify_subjects``
+    call.
     """
     runs = RunTable.of(runs)
-    subjects = []
+    subjects: list[DifficultyArea] = []
     for ps in sorted(
         manifest.sets_at(size_class=size_class), key=lambda s: (s.domain, s.level.value)
     ):
@@ -512,11 +590,15 @@ def hardness_tables(
             if ps.domain in grid.spans
             for name in grid.attempted(grid.spans[ps.domain])
         }
-        subjects.extend(
-            subject_area(runs, manifest, entry.name, ps.domain, ps.level, size_class, cutoff_ms)
+        planners = [
+            entry.name
             for entry in manifest.planners_in(category, ps.level)
             if entry.name in attempted
-        )
+        ]
+        if planners:
+            subjects.extend(
+                subject_areas(runs, manifest, planners, ps.domain, ps.level, size_class, cutoff_ms)
+            )
 
     def kind(subject: DifficultyArea, specific: bool) -> PoolKind:
         return level_specific(subject.level) if specific else LEVEL_INDEPENDENT
@@ -525,15 +607,23 @@ def hardness_tables(
     dists = bootstrap_distributions(
         runs, manifest, category, list(kinds), size_class, B, m, cutoff_ms, seed
     )
-    return [
-        HardnessTable(
-            category=category,
-            size_class=size_class,
-            # a subject's level has a category planner, so its pools are never empty
-            verdicts=tuple(classify(s, dists[kind(s, specific)]) for s in subjects),
+    tables = []
+    for specific in level_specific_pools:
+        members: dict[PoolKind, list[int]] = {}
+        for k, s in enumerate(subjects):
+            members.setdefault(kind(s, specific), []).append(k)
+        verdicts: dict[int, HardnessVerdict] = {}
+        # a subject's level has a category planner, so its pools are never empty
+        for pool, ks in members.items():
+            verdicts.update(zip(ks, classify_subjects([subjects[k] for k in ks], dists[pool])))
+        tables.append(
+            HardnessTable(
+                category=category,
+                size_class=size_class,
+                verdicts=tuple(verdicts[k] for k in range(len(subjects))),
+            )
         )
-        for specific in level_specific_pools
-    ]
+    return tables
 
 
 def hardness_table(

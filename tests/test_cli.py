@@ -266,6 +266,59 @@ class TestScalingBatched:
         assert 0 < len(calls) <= 2 * len(manifest.levels()) + len(manifest.problem_sets)
 
 
+class TestHardnessBatched:
+    """A hardness command finds each problem set's areas in one call and
+    classifies each pool's subjects in one call."""
+
+    def test_calls(self, tmp_path, monkeypatch):
+        calls = {name: 0 for name in ("bootstrap_distributions", "subject_areas",
+                                      "subject_area", "classify", "classify_subjects")}
+        for name in calls:
+            original = getattr(hardness, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hardness, name, counting)
+        assert invoke("hardness", *common(tmp_path)) == 0
+        manifest = dataio.load_manifest(MANIFEST)
+        sizes = dataio.sizes_faced(dataio.Category.FULLY_AUTOMATED)
+        assert calls["bootstrap_distributions"] == len(sizes)
+        assert 0 < calls["subject_areas"] <= sum(len(manifest.sets_at(size_class=size))
+                                                 for size in sizes)
+        # a pool per level and the level-independent one
+        assert 0 < calls["classify_subjects"] <= (len(manifest.levels()) + 1) * len(sizes)
+        assert calls["subject_area"] == calls["classify"] == 0
+
+
+class TestLevelAndSizeFilters:
+    def _rows(self, path):
+        """A CSV output's metadata lines and its data rows."""
+        lines = path.read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        return header, lines[len(header) + 1:]
+
+    def test_hardness_level(self, tmp_path):
+        assert invoke("hardness", *common(tmp_path / "all")) == 0
+        assert invoke("hardness", *common(tmp_path / "numeric", "--level", "numeric")) == 0
+        _, all_rows = self._rows(tmp_path / "all" / "hardness_auto_small.csv")
+        header, rows = self._rows(tmp_path / "numeric" / "hardness_auto_numeric_small.csv")
+        assert "# level=numeric" in header
+        assert rows == [row for row in all_rows if ",numeric," in row]
+        assert rows and not [row for row in rows if ",strips," in row]
+        assert len(rows) < len(all_rows)
+        text = (tmp_path / "numeric" / "hardness_auto_numeric_small.txt").read_text()
+        assert "# level=numeric" in text and "strips" not in text.split("\n\n", 1)[1]
+
+    def test_agreement_level_and_size(self, tmp_path):
+        assert invoke("agreement", *common(tmp_path, "--level", "strips", "--size", "small")) == 0
+        header, rows = self._rows(tmp_path / "agreement_auto_strips_small.csv")
+        assert "# level=strips" in header and "# size=small" in header
+        assert rows and all(",strips,small," in row for row in rows)
+        assert not (tmp_path / "agreement_auto.csv").exists()
+
+
 class TestAgreementCommand:
     def test_grid(self, tmp_path):
         assert invoke("agreement", *common(tmp_path)) == 0

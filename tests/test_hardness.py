@@ -1,24 +1,32 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pset, run, simple_manifest
-from planstats.dataio import Category, Level, SizeClass
+from planstats.dataio import Category, Level, SizeClass, parse_manifest
 from planstats.hardness import (
     LEVEL_INDEPENDENT,
     BootstrapDistribution,
     Classification,
     DifficultyArea,
     EmptyPool,
+    HardnessTable,
     SampleSizeMismatch,
     bootstrap_distribution,
+    bootstrap_distributions,
     classify,
+    classify_subjects,
     difficulty_area,
     hardness_table,
+    hardness_tables,
     level_specific,
     percentile_of,
     subject_area,
+    subject_areas,
 )
 from planstats.hardness import _CHUNK, _PoolDraws, _philox_words, _sample_area, _sample_areas
 from planstats.ranking import EmptyInput
@@ -39,6 +47,14 @@ class TestDifficultyArea:
 
     def test_clamps_at_cutoff(self):
         assert difficulty_area([5000], 1000) == 1000.0
+
+    @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=40))
+    def test_sums_left_to_right(self, times):
+        clamped = [min(t, CUTOFF) for t in times]
+        assert difficulty_area(times, CUTOFF) == functools.reduce(operator.add, clamped, 0.0)
+
+    def test_sum_starts_from_zero(self):
+        assert repr(difficulty_area([-0.0, -0.0], CUTOFF)) == "0.0"
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
@@ -239,6 +255,9 @@ class TestSharedWordBlock:
         # single-planner problems: problem draws, no planner word
         "one-planner": [np.array([float(k) * 11 + 0.5]) for k in range(6)],
         "mixed": [np.array([1.5, 9.0]), np.array([4.0]), np.array([2.0, 7.25, 3.0, 8.0])],
+        # every problem has two or more planners: the planner words are one slice
+        "all-consuming": [np.array([0.5, 6.0, 2.5]), np.array([3.0, 1e6 / 3]),
+                          np.array([8.0, 4.5, 7.0, 0.125]), np.array([5.0, 9.5])],
     }
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -331,6 +350,13 @@ class TestClassify:
     def test_empty_subject_rejected(self):
         with pytest.raises(SampleSizeMismatch):
             classify(make_subject(0.0, n_problems=0), make_dist([1.0]))
+        with pytest.raises(SampleSizeMismatch):
+            classify_subjects([make_subject(1.0), make_subject(0.0, n_problems=0)],
+                              make_dist([1.0]))
+
+    def test_percentile_of_no_samples(self):
+        with pytest.raises(EmptyInput):
+            percentile_of(1.0, [])
 
     def test_percentile_mid_tie(self):
         assert percentile_of(5.0, [1.0, 5.0, 9.0]) == pytest.approx(0.5)
@@ -360,6 +386,23 @@ class TestSubjectArea:
         subject = subject_area(runs, manifest, "a", "d", Level.STRIPS, cutoff_ms=1000)
         assert subject.area_ms == 100 + 1000 + 1000
         assert subject.n_problems == 3
+
+    def test_planners_in_order_unknown_planner_unsolved(self):
+        manifest = simple_manifest({"a": ["strips"], "b": ["strips"]}, [pset("d", "strips", 3)])
+        runs = [run("a", "d", "strips", "p01", 100), run("b", "d", "strips", "p03", 5000)]
+        areas = subject_areas(runs, manifest, ["b", "ghost", "a"], "d", Level.STRIPS,
+                              cutoff_ms=1000)
+        assert [(s.planner, s.area_ms) for s in areas] == [
+            ("b", 3000.0), ("ghost", 3000.0), ("a", 2100.0)]
+        assert areas == [subject_area(runs, manifest, name, "d", Level.STRIPS, cutoff_ms=1000)
+                         for name in ("b", "ghost", "a")]
+
+    def test_errors(self):
+        manifest = simple_manifest({"a": ["strips"]}, [pset("d", "strips", 3)])
+        with pytest.raises(EmptyPool):
+            subject_areas([], manifest, ["a"], "elsewhere", Level.STRIPS)
+        with pytest.raises(ValueError):
+            subject_areas([], manifest, ["a"], "d", Level.STRIPS, cutoff_ms=0)
 
 
 class TestHardnessTable:
@@ -441,3 +484,88 @@ class TestInvariantBounds:
         assert set(verdicts) == {"a", "b"}
         assert set(verdicts["a"]) == {"d1", "d2"}
         assert table.by_planner(Level.TIME) == {}
+
+
+@st.composite
+def hardness_grids(draw):
+    """A two-level grid whose numeric level has a single fully-automated
+    planner; sets of 1-6 problems against m of 1, 3 or 4, so that most
+    subjects are rescaled; unattempted, unsolved, clamped, fractional and,
+    when ``constant``, all-equal solved times, whose areas tie the
+    bootstrap samples at the tails."""
+    auto = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    planners = [{"name": name, "category": "fully-automated",
+                 "levels": ["strips", "numeric"] if name == "a" else ["strips"]}
+                for name in auto]
+    planners.append({"name": "h", "category": "hand-coded", "levels": ["strips", "numeric"]})
+    sets = [pset(domain, level, draw(st.integers(1, 6)))
+            for domain in ("d1", "d2") for level in ("strips", "numeric")]
+    constant = draw(st.booleans())
+    times = st.just(7) if constant else st.sampled_from([0, 0.1, 7, 7, 1e3 / 7, 30, 1000])
+    runs = []
+    for entry in planners:
+        for ps in sets:
+            if ps["level"] not in entry["levels"]:
+                continue
+            for problem in ps["problems"]:
+                state = draw(st.integers(0, 3))
+                if state == 0:
+                    continue  # did not attempt
+                runs.append(run(entry["name"], ps["domain"], ps["level"], problem,
+                                None if state == 1 else draw(times)))
+    manifest = parse_manifest({"planners": planners, "problem_sets": sets})
+    return manifest, runs, draw(st.sampled_from([1, 3, 4])), draw(st.integers(0, 2**64 - 1))
+
+
+def pool_distribution(runs, manifest, kind, m, seed, B, cutoff_ms):
+    return bootstrap_distributions(runs, manifest, AUTO, [kind], SizeClass.SMALL, B, m,
+                                   cutoff_ms, seed)[kind]
+
+
+def reference_hardness_tables(runs, manifest, modes, m, seed, B, cutoff_ms):
+    """``hardness_tables`` composed per subject: a ``subject_area`` per
+    entered planner with a record in the cell, classified by ``classify``
+    against its pool's distribution."""
+    with_record = {(r.planner, r.domain, r.level) for r in runs}
+    subjects = [
+        subject_area(runs, manifest, entry.name, ps.domain, ps.level, cutoff_ms=cutoff_ms)
+        for ps in sorted(manifest.sets_at(size_class=SizeClass.SMALL),
+                         key=lambda s: (s.domain, s.level.value))
+        for entry in manifest.planners_in(AUTO, ps.level)
+        if (entry.name, ps.domain, ps.level) in with_record
+    ]
+    tables = []
+    for specific in modes:
+        verdicts = []
+        for subject in subjects:
+            kind = level_specific(subject.level) if specific else LEVEL_INDEPENDENT
+            dist = pool_distribution(runs, manifest, kind, m, seed, B, cutoff_ms)
+            verdicts.append(classify(subject, dist))
+        tables.append(HardnessTable(AUTO, SizeClass.SMALL, tuple(verdicts)))
+    return tables
+
+
+@settings(max_examples=100, deadline=None)
+@given(hardness_grids())
+def test_hardness_tables_match_per_subject_composition(grid):
+    manifest, runs, m, seed = grid
+    B, cutoff_ms = 40, 30
+    for modes in ((True, False), (False,), (True,)):
+        tables = hardness_tables(runs, manifest, AUTO, level_specific_pools=modes, B=B, m=m,
+                                 cutoff_ms=cutoff_ms, seed=seed)
+        expected = reference_hardness_tables(runs, manifest, modes, m, seed, B, cutoff_ms)
+        assert repr(tables) == repr(expected)
+    # the one-row calls are the plain formulas: a left-to-right sum of
+    # clamped times, and the mid-p percentile by a scan of the samples
+    for v in tables[0].verdicts:
+        cells = {r.problem: r.time_ms for r in runs
+                 if (r.planner, r.domain, r.level) == (v.planner, v.domain, v.level)}
+        (ps,) = manifest.sets_at(v.level, SizeClass.SMALL, v.domain)
+        clamped = [cutoff_ms if cells.get(p) is None else min(cells[p], cutoff_ms)
+                   for p in ps.problems]
+        assert v.area_ms == functools.reduce(operator.add, map(float, clamped), 0.0)
+        dist = pool_distribution(runs, manifest, v.pool_kind, m, seed, B, cutoff_ms)
+        area = v.area_ms * (m / v.n_problems) if v.n_problems != m else v.area_ms
+        below = sum(s < area for s in dist.samples)
+        ties = sum(s == area for s in dist.samples)
+        assert v.percentile == (below + 0.5 * ties) / B
