@@ -28,10 +28,18 @@ SIDES = ("parent", "change")
 
 def src_tree(checkout: Path) -> str | None:
     """Git's hash of the committed src/ tree: it names the program measured,
-    whatever else the commit holds."""
+    whatever else the commit holds.  None outside git; a checkout whose
+    src/ differs from that tree is refused, since the hash would misname it."""
     done = subprocess.run(["git", "rev-parse", "HEAD:src"], cwd=checkout,
                           capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+    if done.returncode != 0:
+        return None
+    edits = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                           capture_output=True, text=True, check=True).stdout
+    if edits:
+        raise SystemExit(f"bench_pairs: {checkout} has uncommitted changes under src/; "
+                         f"commit them or measure another checkout:\n{edits}")
+    return done.stdout.strip()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[str]]:
@@ -95,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    # a mislabelled checkout is refused before any run is spent on it
+    trees = {side: src_tree(path) for side, path in checkouts.items()}
 
     runs = []
     for pair, seed in enumerate(args.seeds):
@@ -111,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload,
         "seconds": args.seconds,
         "command": "perfbench/run.py --workload W --seed S --seconds T, untraced",
-        "src_tree": {side: src_tree(path) for side, path in checkouts.items()},
+        "src_tree": trees,
         "runs": runs,
         "summary": summarize(runs, directions),
     }

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the whole analysis pipeline on one dataset.
 
-Drives every subcommand in sequence and drops all tables, CSV mirrors and
-DOT graphs into the output directory.  Handy for eyeballing a new dataset:
+Opens the dataset once (one load, validation and hash) and runs every
+subcommand on that session in sequence, dropping all tables, CSV mirrors
+and DOT graphs into the output directory.  Handy for eyeballing a new
+dataset:
 
     python scripts/run_full_analysis.py --runs data/sample/runs.csv \\
         --manifest data/sample/manifest.json --out out/
@@ -12,8 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from planstats.cli import CATEGORIES, main as planstats_main, quality_channels
-from planstats.dataio import DataError, load_manifest
+from planstats.cli import CATEGORIES, build_parser, open_session, quality_channels, run_command
 
 
 def main():
@@ -32,20 +33,20 @@ def main():
 
     commands = [["validate"], ["compare"], ["order"], ["order", "--cross"],
                 ["hardness"], ["agreement"], ["scaling"]]
-    try:
-        manifest = load_manifest(args.manifest)
-    except (DataError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    planstats = build_parser()
+    # the session reads only the base flags, which every command shares
+    session = open_session(planstats.parse_args(commands[0] + base))
+    if isinstance(session, int):
+        return session
     # one value series per populated cell, in the level's first quality channel
-    for ps in manifest.problem_sets:
+    for ps in session.manifest.problem_sets:
         measure = quality_channels(ps.level)[0].value
         commands.append(["series", "--domain", ps.domain, "--level", ps.level.value,
                          "--measure", measure, "--size", ps.size_class.value])
 
     for command in commands:
         print(f"$ planstats {' '.join(command)}")
-        rc = planstats_main(command + base)
+        rc = run_command(session, planstats.parse_args(command + base))
         if rc != 0:
             print(f"command failed with exit code {rc}", file=sys.stderr)
             return rc

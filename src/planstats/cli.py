@@ -2,8 +2,14 @@
 
 Subcommands: validate, compare, order, hardness, agreement, scaling,
 series.  Every command reads a runs CSV plus a manifest JSON, writes its
-tables/graphs into the output directory with an embedded metadata header,
-and echoes the main table to stdout.
+tables/graphs into the ``--out`` directory with an embedded metadata
+header, and echoes the main table to stdout.
+
+A command runs in two steps: :func:`open_session` makes the config and
+loads, validates and hashes the inputs once, and :func:`run_command` runs
+one parsed command on that session.  :func:`main` is the two in a row;
+``scripts/run_full_analysis.py`` opens one session and runs every command
+of an analysis on it, so they share one ``RunTable`` and its grids.
 
 Exit codes: 0 success, 2 input validation failure (diagnostics on
 stderr), 3 degenerate-statistics warning escalated by --strict.
@@ -17,6 +23,7 @@ import hashlib
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 from . import agreement as agreement_mod
 from . import hardness as hardness_mod
@@ -24,8 +31,10 @@ from . import scaling as scaling_mod
 from .dataio import (
     Category,
     DataError,
+    Diagnostic,
     Level,
     Manifest,
+    RunTable,
     SizeClass,
     load_manifest,
     load_runs,
@@ -66,7 +75,7 @@ CATEGORIES = {"auto": Category.FULLY_AUTOMATED, "hand": Category.HAND_CODED}
 ALPHA_FIELDS = {"agreement": "alpha_agreement", "scaling": "alpha_scaling"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--runs", required=True, help="runs CSV file")
     common.add_argument("--manifest", required=True, help="manifest JSON file")
@@ -79,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="problem size class")
     common.add_argument("--alpha", type=float, help="significance level for this command")
     common.add_argument("--seed", type=int, help="bootstrap seed")
-    common.add_argument("--out", help="output directory (default: current)")
+    common.add_argument("--out", default=".", help="output directory (default: current)")
     common.add_argument("--reduce", action="store_true", help="transitive reduction of orders")
     common.add_argument("--cross", action="store_true", help="compare across planner categories")
     common.add_argument("--strict", action="store_true",
@@ -107,8 +116,6 @@ def _make_config(args: argparse.Namespace) -> ReportConfig:
         config = load_config_file(args.config, config)
     if args.seed is not None:
         config.seed = args.seed
-    if args.out is not None:
-        config.output_dir = Path(args.out)
     if args.alpha is not None:
         setattr(config, ALPHA_FIELDS.get(args.command, "alpha_pairwise"), args.alpha)
     config.validate()
@@ -128,20 +135,21 @@ def _stem(command: str, extra: dict[str, str]) -> str:
     return "_".join([command, *extra.values()])
 
 
-def _write(config: ReportConfig, name: str, text: str) -> Path:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    path = config.output_dir / name
+def _write(args, name: str, text: str) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
     path.write_text(text, encoding="utf-8")
     return path
 
 
-def _write_table(config, dataset_hash, command, extra, text, rows) -> list[str]:
+def _write_table(args, config, dataset_hash, extra, text, rows) -> list[str]:
     """Write a cell's text table and its CSV mirror under one metadata
     header, echo the text to stdout, and return the header."""
-    header = metadata_lines(config, dataset_hash, command, extra)
-    stem = _stem(command, extra)
-    _write(config, f"{stem}.txt", "\n".join(header) + "\n\n" + text)
-    _write(config, f"{stem}.csv", csv_text(rows, header))
+    header = metadata_lines(config, dataset_hash, args.command, extra)
+    stem = _stem(args.command, extra)
+    _write(args, f"{stem}.txt", "\n".join(header) + "\n\n" + text)
+    _write(args, f"{stem}.csv", csv_text(rows, header))
     print(text)
     return header
 
@@ -240,10 +248,10 @@ def cmd_compare(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
         text = render_compare_text(alo, dh, mags, config.alpha_pairwise, config.alpha_magnitude)
         print(f"-- {level.value}/{measure.value}/{size.value} --")
         header = _write_table(
-            config, dataset_hash, "compare", extra, text, comparisons_csv_rows(alo + dh)
+            args, config, dataset_hash, extra, text, comparisons_csv_rows(alo + dh)
         )
         mag_rows = magnitudes_csv_rows([m for m in mags if m is not None])
-        _write(config, f"{_stem('magnitude', extra)}.csv", csv_text(mag_rows, header))
+        _write(args, f"{_stem('magnitude', extra)}.csv", csv_text(mag_rows, header))
     return 0
 
 
@@ -254,7 +262,7 @@ def cmd_order(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
         if args.reduce:
             order = transitive_reduction(order)
         header = metadata_lines(config, dataset_hash, "order", extra, comment="//")
-        path = _write(config, f"{_stem('order', extra)}.dot", dot_with_metadata(order, header))
+        path = _write(args, f"{_stem('order', extra)}.dot", dot_with_metadata(order, header))
         print(f"wrote {path} ({len(order.edges)} edges)")
     return 0
 
@@ -275,7 +283,7 @@ def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int
         extra["size"] = size.value
         print(f"-- {size.value} problems --")
         text = render_hardness_text(*tables)
-        _write_table(config, dataset_hash, "hardness", extra, text, hardness_csv_rows(tables))
+        _write_table(args, config, dataset_hash, extra, text, hardness_csv_rows(tables))
     return 0
 
 
@@ -290,7 +298,7 @@ def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> in
         results = [r for r in results if r.size_class is SizeClass(args.size)]
         extra["size"] = args.size
     text = render_agreement_text(results)
-    _write_table(config, dataset_hash, "agreement", extra, text, agreement_csv_rows(results))
+    _write_table(args, config, dataset_hash, extra, text, agreement_csv_rows(results))
     return 0
 
 
@@ -317,7 +325,7 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
             )
             extra = {"category": args.category, "level": level.value, "size": size.value}
             text = render_scaling_text(results, level)
-            _write_table(config, dataset_hash, "scaling", extra, text, scaling_csv_rows(results))
+            _write_table(args, config, dataset_hash, extra, text, scaling_csv_rows(results))
     return 0
 
 
@@ -340,7 +348,7 @@ def cmd_series(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     except UnknownCell as exc:
         print(f"series: {exc}", file=sys.stderr)
         return 2
-    path = _write(config, f"{_stem('series', extra)}.csv", text)
+    path = _write(args, f"{_stem('series', extra)}.csv", text)
     print(f"wrote {path}")
     return 0
 
@@ -356,8 +364,20 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+class Session(NamedTuple):
+    """One opened dataset: what every command reads, in the order the
+    ``cmd_*`` functions take it."""
+
+    config: ReportConfig
+    runs: RunTable
+    manifest: Manifest
+    diagnostics: list[Diagnostic]
+    dataset_hash: str
+
+
+def open_session(args: argparse.Namespace) -> Session | int:
+    """Make the config of ``args`` and load, validate and hash its inputs;
+    exit code 2, with the reason on stderr, when either is bad."""
     try:
         config = _make_config(args)
     except (ValueError, OSError) as exc:
@@ -370,21 +390,33 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     diagnostics = validate_dataset(runs, manifest)
-    errors = [d for d in diagnostics if d.severity == "error"]
+    return Session(config, runs, manifest, diagnostics, _dataset_hash(args.runs, args.manifest))
+
+
+def run_command(session: Session, args: argparse.Namespace) -> int:
+    """Run one parsed command on an open session; its exit code."""
+    errors = [d for d in session.diagnostics if d.severity == "error"]
     if errors and args.command != "validate":
         for d in errors:
             print(f"ERROR {d.kind}: {d.message}", file=sys.stderr)
         return 2
-    dataset_hash = _dataset_hash(args.runs, args.manifest)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = _COMMANDS[args.command](args, config, runs, manifest, diagnostics, dataset_hash)
+        rc = _COMMANDS[args.command](args, *session)
     degenerate = [w for w in caught if issubclass(w.category, DegenerateStatisticWarning)]
     if degenerate:
         print(f"note: {len(degenerate)} degenerate statistic(s) encountered", file=sys.stderr)
         if args.strict and rc == 0:
             return 3
     return rc
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    session = open_session(args)
+    if isinstance(session, int):
+        return session
+    return run_command(session, args)
 
 
 if __name__ == "__main__":

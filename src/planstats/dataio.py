@@ -252,7 +252,8 @@ class RunGrid:
     planner with a record at the level.  ``index`` holds the table row of
     each cell's record, -1 where there is none, and ``values`` each value
     field as floats, NaN where the cell has no record, is unsolved or
-    lacks the field.
+    lacks the field.  Every analysis that reads the table shares the grid,
+    so its arrays are read-only.
     """
 
     names: tuple[str, ...]
@@ -359,7 +360,7 @@ class RunTable(Sequence[RunRecord]):
                     for s in manifest._column_sets[start:stop]]
         # index -1 reads the arrays' trailing entry: unsolved, no values
         arrays = self._cell_arrays()
-        return RunGrid(
+        grid = RunGrid(
             names=names,
             rows=rows,
             spans=spans,
@@ -369,6 +370,10 @@ class RunTable(Sequence[RunRecord]):
             solved=arrays["solved"][index],
             values={name: arrays[name][index] for name in VALUE_FIELDS},
         )
+        for array in (grid.maximize, grid.index, grid.present, grid.solved,
+                      *grid.values.values()):
+            array.flags.writeable = False
+        return grid
 
     def _cell_arrays(self) -> dict[str, np.ndarray]:
         """The solved column and the value columns as arrays (values NaN where

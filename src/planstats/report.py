@@ -52,7 +52,6 @@ class ReportConfig:
     bootstrap_m: int = 20
     cutoff_ms: int = 1_800_000
     seed: int = 3
-    output_dir: Path = Path(".")
 
     def validate(self) -> None:
         for name in ("alpha_pairwise", "alpha_magnitude", "alpha_agreement", "alpha_scaling"):
@@ -92,7 +91,7 @@ def load_config_file(path: str | Path, base: ReportConfig | None = None) -> Repo
             value = value.strip()
             if key not in field_types:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            convert = Path if key == "output_dir" else float if key.startswith("alpha") else int
+            convert = float if key.startswith("alpha") else int
             try:
                 setattr(config, key, convert(value))
             except ValueError:
@@ -118,10 +117,8 @@ def metadata_lines(
     items: list[tuple[str, str]] = [("command", command)]
     if extra:
         items.extend(sorted(extra.items()))
-    # every config field but the output directory, in declaration order
-    items += [
-        (f.name, str(getattr(config, f.name))) for f in fields(config) if f.name != "output_dir"
-    ]
+    # every config field, in declaration order
+    items += [(f.name, str(getattr(config, f.name))) for f in fields(config)]
     items += [("rng", RNG_NAME), ("dataset_sha256", dataset_hash)]
     return [f"{comment} {key}={value}" for key, value in items]
 

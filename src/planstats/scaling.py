@@ -72,20 +72,6 @@ def eligible_domains(
     )
 
 
-def pooled_problems(
-    manifest: Manifest,
-    level: Level,
-    domains: Sequence[str],
-    size_class: SizeClass = SizeClass.SMALL,
-) -> list[tuple[str, str]]:
-    """Deterministic (domain, problem) pooling order across domains."""
-    out = []
-    for domain in domains:
-        for ps in manifest.sets_at(level=level, size_class=size_class, domain=domain):
-            out.extend((domain, p) for p in ps.problems)
-    return out
-
-
 def agreed_difficulty(
     runs: Sequence[RunRecord],
     manifest: Manifest,
@@ -124,8 +110,9 @@ def difficulty_ranking(
 ) -> tuple[float, ...]:
     """Agreed difficulty ranking of the pooled problems at a level.
 
-    The pooled problems (in :func:`pooled_problems` order) ranked
-    ascending by their :func:`agreed_difficulty` scores.
+    The problems of ``domains``, in that order and each domain's sets in
+    manifest problem order, ranked ascending by their
+    :func:`agreed_difficulty` scores.
 
     Raises:
         EmptyDomainList: if no domains are given.

@@ -17,10 +17,12 @@ because real competition data produces them.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -290,6 +292,12 @@ def proportion_test(wins: int, n: int) -> ProportionResult:
     return ProportionResult(wins=wins, n=n, z=z, p_two_sided=two_sided_p_from_z(z))
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Floats added left to right.  Built-in ``sum`` compensates float
+    rounding from Python 3.12 on, so its last bits depend on the version."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def paired_t_normalized(pairs: Sequence[tuple[float, float]]) -> PairedTResult:
     """Paired t-test on values normalized by each pair's mean.
 
@@ -312,11 +320,11 @@ def paired_t_normalized(pairs: Sequence[tuple[float, float]]) -> PairedTResult:
         mean = (a + b) / 2.0
         firsts.append(a / mean)
         seconds.append(b / mean)
-    mean_first = sum(firsts) / n
-    mean_second = sum(seconds) / n
+    mean_first = _sum_in_order(firsts) / n
+    mean_second = _sum_in_order(seconds) / n
     diffs = [f - s for f, s in zip(firsts, seconds)]
-    d_bar = sum(diffs) / n
-    s2 = sum((d - d_bar) ** 2 for d in diffs) / (n - 1)
+    d_bar = _sum_in_order(diffs) / n
+    s2 = _sum_in_order((d - d_bar) ** 2 for d in diffs) / (n - 1)
     s = math.sqrt(s2)
     df = n - 1
     if s == 0.0:

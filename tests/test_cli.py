@@ -410,7 +410,8 @@ class TestConfigFile:
         assert "# seed=5" in (out2 / "hardness_auto_small.csv").read_text()
 
     @pytest.mark.parametrize(
-        "line", ["nonsense=1", "bootstrap_B=1.5", "alpha_scaling=abc", "alpha_pairwise=0.7"]
+        "line", ["nonsense=1", "bootstrap_B=1.5", "alpha_scaling=abc", "alpha_pairwise=0.7",
+                 "output_dir=elsewhere"]
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -508,3 +509,17 @@ class TestFullAnalysisScript:
         manifest.write_text("{not json")
         assert self.run_script(tmp_path, monkeypatch, manifest) == 2
         assert capsys.readouterr().err.startswith("input error: invalid JSON")
+
+    def test_reads_the_dataset_once(self, tmp_path, monkeypatch):
+        calls = {"load_runs": 0, "load_manifest": 0, "validate_dataset": 0}
+        for name in calls:
+            function = getattr(cli, name)
+
+            def counting(*args, _name=name, _function=function):
+                calls[_name] += 1
+                return _function(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert self.run_script(tmp_path, monkeypatch, MANIFEST) == 0
+        assert len(list(tmp_path.glob("series_*.csv"))) > 1
+        assert calls == {"load_runs": 1, "load_manifest": 1, "validate_dataset": 1}

@@ -377,3 +377,17 @@ def test_problem_declared_twice_sits_in_the_column_resolve_names():
     assert manifest.resolve("d", Level.STRIPS, "p2") is small
     assert runs.grid(manifest, Level.STRIPS, SizeClass.SMALL).index.tolist() == [[-1, 0]]
     assert runs.grid(manifest, Level.STRIPS, SizeClass.LARGE).index.tolist() == [[-1]]
+
+
+def test_grid_arrays_are_read_only():
+    """One table serves every command of a session, so a write into a grid
+    would leak into the next command; every array refuses it."""
+    manifest = Manifest(planners=(), problem_sets=(
+        ProblemSet("d", Level.STRIPS, SizeClass.SMALL, QualityDirection.MINIMIZE, ("p1", "p2")),))
+    runs = RunTable.of([RunRecord("a", "d", Level.STRIPS, "p2", True, 7)])
+    grid = runs.grid(manifest, Level.STRIPS, SizeClass.SMALL)
+    arrays = {"maximize": grid.maximize, "index": grid.index, "present": grid.present,
+              "solved": grid.solved, **grid.values}
+    for array in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array

@@ -26,7 +26,6 @@ from planstats.scaling import (
     agreed_difficulty,
     difficulty_ranking,
     eligible_domains,
-    pooled_problems,
     scaling_comparison,
     scaling_comparisons,
 )
@@ -225,11 +224,6 @@ class TestScalingComparison:
         ungated = scaling_comparison(runs, manifest, "a", "b", STRIPS, verdicts, difficulty)
         assert ungated.verdict is not Verdict.INCOMPARABLE
 
-    def test_pooled_problem_order(self):
-        runs, manifest = two_domain_dataset(lambda i: i, lambda i: i, n=2)
-        pooled = pooled_problems(manifest, STRIPS, ["d2", "d1"])
-        assert pooled == [("d2", "p01"), ("d2", "p02"), ("d1", "p01"), ("d1", "p02")]
-
 
 class TestMissingProblemSet:
     """An eligible domain without a set at the level and size class is
@@ -290,9 +284,9 @@ def reference_scaling_comparison(
     runs, manifest, a, b, level, hardness, difficulty,
     size_class=SizeClass.SMALL, cutoff_ms=DEFAULT_CUTOFF_MS, alpha=DEFAULT_ALPHA,
 ):
-    """One pair's scaling verdict computed alone: the pooled problems in
-    pooled_problems order, ranked by the scalar rank and Spearman
-    references."""
+    """One pair's scaling verdict computed alone: the problems of the
+    eligible domains pooled in domain order, each set in manifest problem
+    order, ranked by the scalar rank and Spearman references."""
 
     def result(domains, reason, n=0, spearman=None, verdict=Verdict.INCOMPARABLE):
         return ScalingResult(a, b, level, tuple(domains), n, spearman, verdict, reason)

@@ -283,6 +283,30 @@ class TestPairedT:
         assert r.mean_first_norm + r.mean_second_norm == pytest.approx(2.0, abs=1e-12)
         assert r.d_bar == pytest.approx(r.mean_first_norm - r.mean_second_norm, abs=1e-12)
 
+    def test_sums_run_left_to_right(self):
+        """Every sum adds its terms in order, one rounding per addition, as
+        built-in sum() does up to Python 3.11; a compensated sum (math.fsum,
+        or sum() from 3.12 on) moves the last bits of the results."""
+        rng = np.random.default_rng(5)
+        for n in (2, 7, 40, 400):
+            pairs = [tuple(row) for row in rng.uniform(1e-3, 1e6, size=(n, 2)).tolist()]
+            firsts = [a / ((a + b) / 2.0) for a, b in pairs]
+            seconds = [b / ((a + b) / 2.0) for a, b in pairs]
+            diffs = [f - s for f, s in zip(firsts, seconds)]
+            total = {"first": 0.0, "second": 0.0, "diff": 0.0, "square": 0.0}
+            for f, s, d in zip(firsts, seconds, diffs):
+                total["first"] += f
+                total["second"] += s
+                total["diff"] += d
+            d_bar = total["diff"] / n
+            for d in diffs:
+                total["square"] += (d - d_bar) ** 2
+            r = paired_t_normalized(pairs)
+            assert repr(r.mean_first_norm) == repr(total["first"] / n)
+            assert repr(r.mean_second_norm) == repr(total["second"] / n)
+            assert repr(r.d_bar) == repr(d_bar)
+            assert repr(r.s) == repr(math.sqrt(total["square"] / (n - 1)))
+
 
 class TestSpearman:
     def _ranks(self, values):
