@@ -26,18 +26,19 @@ def main():
     parser.add_argument("--seed", type=int)
     args = parser.parse_args()
 
-    base = ["--runs", args.runs, "--manifest", args.manifest,
-            "--out", args.out, "--category", args.category]
+    # the session flags, which every command takes
+    base = ["--runs", args.runs, "--manifest", args.manifest, "--out", args.out]
     if args.seed is not None:
         base += ["--seed", str(args.seed)]
-
-    commands = [["validate"], ["compare"], ["order"], ["order", "--cross"],
-                ["hardness"], ["agreement"], ["scaling"]]
     planstats = build_parser()
-    # the session reads only the base flags, which every command shares
-    session = open_session(planstats.parse_args(commands[0] + base))
+    session = open_session(planstats.parse_args(["validate", *base]))
     if isinstance(session, int):
         return session
+
+    category = ["--category", args.category]
+    commands = [["validate"], ["compare", *category], ["order", *category],
+                ["order", "--cross", *category], ["hardness", *category],
+                ["agreement", *category], ["scaling", *category]]
     # one value series per populated cell, in the level's first quality channel
     for ps in session.manifest.problem_sets:
         measure = quality_channels(ps.level)[0].value

@@ -5,20 +5,27 @@ series.  Every command reads a runs CSV plus a manifest JSON, writes its
 tables/graphs into the ``--out`` directory with an embedded metadata
 header, and echoes the main table to stdout.
 
-A command runs in two steps: :func:`open_session` makes the config and
-loads, validates and hashes the inputs once, and :func:`run_command` runs
-one parsed command on that session.  :func:`main` is the two in a row;
+Each command takes the session flags (``SESSION_FLAGS``: --runs,
+--manifest, --config, --seed, --out) and the flags ``COMMAND_FLAGS``
+lists for it, the ones it reads; argparse refuses any other flag with exit 2.
+
+A command runs in two steps: :func:`open_session` makes the config of the
+session flags and loads, validates and hashes the inputs once, and
+:func:`run_command` runs one parsed command on that session, with the
+command's --alpha if given.  :func:`main` is the two in a row;
 ``scripts/run_full_analysis.py`` opens one session and runs every command
 of an analysis on it, so they share one ``RunTable`` and its grids.
 
-Exit codes: 0 success, 2 input validation failure (diagnostics on
-stderr), 3 degenerate-statistics warning escalated by --strict.
+Exit codes: 0 success, 2 input validation failure or a flag the command
+does not take (diagnostics on stderr), 3 degenerate-statistics warning
+escalated by --strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import sys
 import warnings
@@ -75,49 +82,80 @@ CATEGORIES = {"auto": Category.FULLY_AUTOMATED, "hand": Category.HAND_CODED}
 ALPHA_FIELDS = {"agreement": "alpha_agreement", "scaling": "alpha_scaling"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--runs", required=True, help="runs CSV file")
-    common.add_argument("--manifest", required=True, help="manifest JSON file")
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--level", choices=[lv.value for lv in Level], help="restrict to one level")
-    common.add_argument("--measure", choices=sorted(m.value for m in Measure),
-                        help="default: speed plus the level's quality channels")
-    common.add_argument("--category", choices=sorted(CATEGORIES), default="auto")
-    common.add_argument("--size", choices=sorted(s.value for s in SizeClass),
-                        help="problem size class")
-    common.add_argument("--alpha", type=float, help="significance level for this command")
-    common.add_argument("--seed", type=int, help="bootstrap seed")
-    common.add_argument("--out", default=".", help="output directory (default: current)")
-    common.add_argument("--reduce", action="store_true", help="transitive reduction of orders")
-    common.add_argument("--cross", action="store_true", help="compare across planner categories")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 3 when degenerate statistics occur")
+# every flag of the CLI: name -> add_argument keywords
+_FLAGS = {
+    "--runs": dict(required=True, help="runs CSV file"),
+    "--manifest": dict(required=True, help="manifest JSON file"),
+    "--config": dict(help="key=value config file"),
+    "--seed": dict(type=int, help="bootstrap seed"),
+    "--out": dict(default=".", help="output directory (default: current)"),
+    "--category": dict(choices=sorted(CATEGORIES), default="auto"),
+    "--level": dict(choices=[lv.value for lv in Level], help="restrict to one level"),
+    "--size": dict(choices=sorted(s.value for s in SizeClass), help="problem size class"),
+    "--measure": dict(choices=sorted(m.value for m in Measure),
+                      help="default: speed plus the level's quality channels"),
+    "--cross": dict(action="store_true", help="compare across planner categories"),
+    "--alpha": dict(type=float, help="significance level for this command"),
+    "--strict": dict(action="store_true", help="exit 3 when degenerate statistics occur"),
+    "--reduce": dict(action="store_true", help="transitive reduction of orders"),
+    "--domain": dict(required=True, help="domain of the series cell"),
+}
+# the flags open_session reads, and --out; every command takes them
+SESSION_FLAGS = ("--runs", "--manifest", "--config", "--seed", "--out")
+# command -> (help, the flags it reads beyond the session flags); --strict
+# only where a degenerate statistic can arise (paired t, MRC F)
+COMMAND_FLAGS = {
+    "validate": ("check dataset consistency", ()),
+    "compare": ("pairwise consistency and magnitude tables",
+                ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--strict")),
+    "order": ("partial-order DOT graphs",
+              ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--reduce")),
+    "hardness": ("bootstrap easy/hard tables", ("--category", "--level", "--size")),
+    "agreement": ("multi-judge agreement grid",
+                  ("--category", "--level", "--size", "--alpha", "--strict")),
+    "scaling": ("relative scaling matrices", ("--category", "--level", "--size", "--alpha")),
+    "series": ("per-problem value series CSV", ("--domain", "--level", "--size", "--measure")),
+}
+# (command, flag) -> keywords that replace the flag's own for that command
+_FLAG_OVERRIDES = {("series", "--level"): dict(required=True, help="level of the series cell")}
 
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: each subcommand takes the session flags and its
+    own flags from ``COMMAND_FLAGS``, and argparse refuses any other (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="planstats",
         description="Statistical comparison toolkit for planner competition run data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common], help="check dataset consistency")
-    sub.add_parser("compare", parents=[common], help="pairwise consistency and magnitude tables")
-    sub.add_parser("order", parents=[common], help="partial-order DOT graphs")
-    sub.add_parser("hardness", parents=[common], help="bootstrap easy/hard tables")
-    sub.add_parser("agreement", parents=[common], help="multi-judge agreement grid")
-    sub.add_parser("scaling", parents=[common], help="relative scaling matrices")
-    series = sub.add_parser("series", parents=[common], help="per-problem value series CSV")
-    series.add_argument("--domain", required=True, help="domain of the series cell")
+    for command, (help_text, flags) in COMMAND_FLAGS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for flag in SESSION_FLAGS + flags:
+            command_parser.add_argument(
+                flag, **{**_FLAGS[flag], **_FLAG_OVERRIDES.get((command, flag), {})}
+            )
     return parser
 
 
 def _make_config(args: argparse.Namespace) -> ReportConfig:
+    """The config of the session flags --config and --seed."""
     config = ReportConfig()
     if args.config:
         config = load_config_file(args.config, config)
     if args.seed is not None:
         config.seed = args.seed
-    if args.alpha is not None:
-        setattr(config, ALPHA_FIELDS.get(args.command, "alpha_pairwise"), args.alpha)
+    config.validate()
+    return config
+
+
+def _command_config(config: ReportConfig, args: argparse.Namespace) -> ReportConfig:
+    """A session's config with the command's --alpha, if it takes one and
+    is given it."""
+    alpha = getattr(args, "alpha", None)
+    if alpha is None:
+        return config
+    config = dataclasses.replace(config, **{ALPHA_FIELDS.get(args.command, "alpha_pairwise"): alpha})
     config.validate()
     return config
 
@@ -182,12 +220,13 @@ def _measures_for(args, level: Level) -> list[Measure]:
     return [Measure.SPEED, *quality_channels(level)]
 
 
-def _hardness_tables(runs, manifest, category, size, config, level_specific):
+def _hardness_tables(args, runs, manifest, category, size, config, level_specific):
     return hardness_mod.hardness_tables(
         runs,
         manifest,
         category,
         level_specific_pools=level_specific,
+        level=Level.parse(args.level) if args.level else None,
         size_class=size,
         B=config.bootstrap_B,
         m=config.bootstrap_m,
@@ -271,14 +310,9 @@ def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
         # the level-specific table, then the level-independent one
-        tables = _hardness_tables(runs, manifest, category, size, config, (True, False))
+        tables = _hardness_tables(args, runs, manifest, category, size, config, (True, False))
         extra = {"category": args.category}
         if args.level:
-            level = Level.parse(args.level)
-            tables = [
-                dataclasses.replace(t, verdicts=tuple(v for v in t.verdicts if v.level is level))
-                for t in tables
-            ]
             extra["level"] = args.level
         extra["size"] = size.value
         print(f"-- {size.value} problems --")
@@ -305,7 +339,7 @@ def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> in
 def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
     for size in _sizes_for(args, category):
-        (table,) = _hardness_tables(runs, manifest, category, size, config, (True,))
+        (table,) = _hardness_tables(args, runs, manifest, category, size, config, (True,))
         for level in _levels_for(args, manifest):
             verdicts = table.by_planner(level)
             names = _pair_names(manifest, category, level, False)
@@ -331,9 +365,6 @@ def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
 
 def cmd_series(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     measure = Measure(args.measure) if args.measure else Measure.SPEED
-    if not args.level:
-        print("series: --level is required", file=sys.stderr)
-        return 2
     level = Level.parse(args.level)
     size = SizeClass(args.size) if args.size else SizeClass.SMALL
     extra = {
@@ -376,8 +407,9 @@ class Session(NamedTuple):
 
 
 def open_session(args: argparse.Namespace) -> Session | int:
-    """Make the config of ``args`` and load, validate and hash its inputs;
-    exit code 2, with the reason on stderr, when either is bad."""
+    """Make the config of the session flags of ``args`` and load, validate
+    and hash its inputs; exit code 2, with the reason on stderr, when
+    either is bad."""
     try:
         config = _make_config(args)
     except (ValueError, OSError) as exc:
@@ -395,6 +427,11 @@ def open_session(args: argparse.Namespace) -> Session | int:
 
 def run_command(session: Session, args: argparse.Namespace) -> int:
     """Run one parsed command on an open session; its exit code."""
+    try:
+        session = session._replace(config=_command_config(session.config, args))
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     errors = [d for d in session.diagnostics if d.severity == "error"]
     if errors and args.command != "validate":
         for d in errors:
@@ -406,7 +443,7 @@ def run_command(session: Session, args: argparse.Namespace) -> int:
     degenerate = [w for w in caught if issubclass(w.category, DegenerateStatisticWarning)]
     if degenerate:
         print(f"note: {len(degenerate)} degenerate statistic(s) encountered", file=sys.stderr)
-        if args.strict and rc == 0:
+        if getattr(args, "strict", False) and rc == 0:
             return 3
     return rc
 

@@ -563,6 +563,7 @@ def hardness_tables(
     category: Category,
     *,
     level_specific_pools: Sequence[bool],
+    level: Level | None = None,
     size_class: SizeClass = SizeClass.SMALL,
     B: int = DEFAULT_B,
     m: int = DEFAULT_M,
@@ -570,6 +571,11 @@ def hardness_tables(
     seed: int = 0,
 ) -> list[HardnessTable]:
     """``hardness_table`` for each pool mode in ``level_specific_pools``.
+
+    With a ``level``, the tables hold only that level's subjects, so only
+    its level-specific pool is drawn; the level-independent pool still
+    spans every level.  Either way a verdict is the one the unrestricted
+    call gives, since a pool's samples do not depend on the other pools.
 
     The tables share their subjects' areas, found with one
     ``subject_areas`` call per problem set, and one call of
@@ -580,7 +586,8 @@ def hardness_tables(
     runs = RunTable.of(runs)
     subjects: list[DifficultyArea] = []
     for ps in sorted(
-        manifest.sets_at(size_class=size_class), key=lambda s: (s.domain, s.level.value)
+        manifest.sets_at(level=level, size_class=size_class),
+        key=lambda s: (s.domain, s.level.value),
     ):
         # planners with a record on the cell's problems, of either size class
         grids = [runs.grid(manifest, ps.level, size) for size in SizeClass]

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -319,6 +320,39 @@ class TestLevelAndSizeFilters:
         assert not (tmp_path / "agreement_auto.csv").exists()
 
 
+class TestPoolsDrawn:
+    """A filtered command draws only the bootstrap pools of what it reports."""
+
+    def _kinds(self, tmp_path, monkeypatch, command, *flags):
+        drawn = []
+        original = hardness.bootstrap_distributions
+
+        def recording(runs, manifest, category, pool_kinds, *args, **kwargs):
+            drawn.append({kind.label for kind in pool_kinds})
+            return original(runs, manifest, category, pool_kinds, *args, **kwargs)
+
+        monkeypatch.setattr(hardness, "bootstrap_distributions", recording)
+        assert invoke(command, *common(tmp_path, *flags)) == 0
+        # the sample's fully-automated planners face small problems only
+        (kinds,) = drawn
+        return kinds
+
+    @pytest.mark.parametrize("level", ["strips", "numeric"])
+    def test_hardness_level(self, tmp_path, monkeypatch, level):
+        kinds = self._kinds(tmp_path, monkeypatch, "hardness", "--level", level)
+        assert kinds == {level, "independent"}
+
+    @pytest.mark.parametrize("level", ["strips", "numeric"])
+    def test_scaling_level(self, tmp_path, monkeypatch, level):
+        assert self._kinds(tmp_path, monkeypatch, "scaling", "--level", level) == {level}
+
+    def test_unfiltered(self, tmp_path, monkeypatch):
+        levels = {lv.value for lv in dataio.load_manifest(MANIFEST).levels()}
+        assert len(levels) > 1
+        assert self._kinds(tmp_path / "h", monkeypatch, "hardness") == levels | {"independent"}
+        assert self._kinds(tmp_path / "s", monkeypatch, "scaling") == levels
+
+
 class TestAgreementCommand:
     def test_grid(self, tmp_path):
         assert invoke("agreement", *common(tmp_path)) == 0
@@ -357,9 +391,11 @@ class TestSeriesCommand:
         rc = invoke("series", *common(tmp_path, "--domain", "nosuch", "--level", "strips"))
         assert rc == 2
 
-    def test_requires_level(self, tmp_path):
-        rc = invoke("series", *common(tmp_path, "--domain", "transport"))
-        assert rc == 2
+    def test_requires_level(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke("series", *common(tmp_path, "--domain", "transport"))
+        assert exc.value.code == 2
+        assert "the following arguments are required: --level" in capsys.readouterr().err
 
 
 class TestStrictMode:
@@ -486,6 +522,61 @@ def test_help_lists_measure_and_size_choices_sorted(capsys):
     out = capsys.readouterr().out
     assert "--measure {conc,metric,seq,speed}" in out
     assert "--size {large,small}" in out
+
+
+# the flags each command takes, beyond --runs --manifest --config --seed --out
+COMMAND_FLAGS = {
+    "validate": (),
+    "compare": ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--strict"),
+    "order": ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--reduce"),
+    "hardness": ("--category", "--level", "--size"),
+    "agreement": ("--category", "--level", "--size", "--alpha", "--strict"),
+    "scaling": ("--category", "--level", "--size", "--alpha"),
+    "series": ("--domain", "--level", "--size", "--measure"),
+}
+SESSION_FLAGS = ("--runs", "--manifest", "--config", "--seed", "--out")
+
+
+class TestFlagTable:
+    def _option_strings(self, command):
+        (subparsers,) = cli.build_parser()._subparsers._group_actions
+        return {option for action in subparsers.choices[command]._actions
+                for option in action.option_strings if option not in ("-h", "--help")}
+
+    def test_each_command_takes_its_flags(self):
+        for command, flags in COMMAND_FLAGS.items():
+            assert self._option_strings(command) == {*SESSION_FLAGS, *flags}, command
+        assert sum(len(self._option_strings(c)) for c in COMMAND_FLAGS) == 65
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_the_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            invoke(command, "--help")
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == {*SESSION_FLAGS, *COMMAND_FLAGS[command]}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("validate", ["--level", "strips"]),
+        ("compare", ["--reduce"]),
+        ("order", ["--strict"]),
+        ("hardness", ["--alpha", "0.01"]),
+        ("agreement", ["--measure", "metric"]),
+        ("scaling", ["--cross"]),
+        ("series", ["--category", "hand"]),
+    ])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag):
+        argv = [command, *common(tmp_path / "out", *flag)]
+        if command == "series":
+            argv += ["--domain", "transport", "--level", "strips"]
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestFullAnalysisScript:

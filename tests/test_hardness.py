@@ -569,3 +569,21 @@ def test_hardness_tables_match_per_subject_composition(grid):
         below = sum(s < area for s in dist.samples)
         ties = sum(s == area for s in dist.samples)
         assert v.percentile == (below + 0.5 * ties) / B
+
+
+@settings(max_examples=50, deadline=None)
+@given(hardness_grids())
+def test_level_restricted_tables_keep_the_level_verdicts(grid):
+    """A level-restricted call gives the unrestricted call's verdicts at
+    that level, each against the same pool."""
+    manifest, runs, m, seed = grid
+    B, cutoff_ms, modes = 40, 30, (True, False)
+    full = hardness_tables(runs, manifest, AUTO, level_specific_pools=modes, B=B, m=m,
+                           cutoff_ms=cutoff_ms, seed=seed)
+    for level in (Level.STRIPS, Level.NUMERIC):
+        tables = hardness_tables(runs, manifest, AUTO, level_specific_pools=modes, level=level,
+                                 B=B, m=m, cutoff_ms=cutoff_ms, seed=seed)
+        expected = [HardnessTable(t.category, t.size_class,
+                                  tuple(v for v in t.verdicts if v.level is level))
+                    for t in full]
+        assert repr(tables) == repr(expected)
