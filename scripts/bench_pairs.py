@@ -113,9 +113,10 @@ def main(argv: list[str] | None = None) -> int:
             result, problems = run_once(checkouts[side], args.workload, seed, args.seconds)
             runs.append({"pair": pair, "side": side, "order": position, "seed": seed,
                          "result": result, "check_failed": problems})
-            pipeline = result["metrics"].get("pipeline_s", {}).get("value")
-            print(f"pair {pair} seed {seed} {side}: pipeline_s {pipeline} "
-                  f"correct {result['correct']}", flush=True)
+            values = " ".join(f"{metric} {result['metrics'].get(metric, {}).get('value')}"
+                              for metric in directions)
+            print(f"pair {pair} seed {seed} {side}: {values} correct {result['correct']}",
+                  flush=True)
 
     doc = {
         "workload": args.workload,

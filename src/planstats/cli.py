@@ -43,8 +43,8 @@ from .dataio import (
     Manifest,
     RunTable,
     SizeClass,
-    load_manifest,
-    load_runs,
+    manifest_from_bytes,
+    runs_from_bytes,
     sizes_faced,
     validate_dataset,
 )
@@ -135,6 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
             command_parser.add_argument(
                 flag, **{**_FLAGS[flag], **_FLAG_OVERRIDES.get((command, flag), {})}
             )
+        # main reports an untaken flag with the command's own usage
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -160,10 +162,9 @@ def _command_config(config: ReportConfig, args: argparse.Namespace) -> ReportCon
     return config
 
 
-def _dataset_hash(runs_path: str, manifest_path: str) -> str:
-    digest = hashlib.sha256()
-    for path in (runs_path, manifest_path):
-        digest.update(Path(path).read_bytes())
+def _dataset_hash(runs_data: bytes, manifest_data: bytes) -> str:
+    digest = hashlib.sha256(runs_data)
+    digest.update(manifest_data)
     return digest.hexdigest()
 
 
@@ -408,21 +409,23 @@ class Session(NamedTuple):
 
 def open_session(args: argparse.Namespace) -> Session | int:
     """Make the config of the session flags of ``args`` and load, validate
-    and hash its inputs; exit code 2, with the reason on stderr, when
-    either is bad."""
+    and hash its inputs, each read once, so the hash names the bytes
+    analysed; exit code 2, with the reason on stderr, when either is bad."""
     try:
         config = _make_config(args)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        runs = load_runs(args.runs)
-        manifest = load_manifest(args.manifest)
+        runs_data = Path(args.runs).read_bytes()
+        runs = runs_from_bytes(runs_data)
+        manifest_data = Path(args.manifest).read_bytes()
+        manifest = manifest_from_bytes(manifest_data)
     except (DataError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     diagnostics = validate_dataset(runs, manifest)
-    return Session(config, runs, manifest, diagnostics, _dataset_hash(args.runs, args.manifest))
+    return Session(config, runs, manifest, diagnostics, _dataset_hash(runs_data, manifest_data))
 
 
 def run_command(session: Session, args: argparse.Namespace) -> int:
@@ -449,7 +452,9 @@ def run_command(session: Session, args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, untaken = build_parser().parse_known_args(argv)
+    if untaken:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(untaken)}")
     session = open_session(args)
     if isinstance(session, int):
         return session

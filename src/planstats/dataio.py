@@ -277,18 +277,22 @@ class RunTable(Sequence[RunRecord]):
     their order.
 
     The analyses read records through :meth:`grid`, which lays out one
-    (level, size class) the first time it is asked for and keeps it for
-    the manifest it was laid out by.  Each record is placed once per
-    manifest (:meth:`codes`); a grid selects its cells from those codes.
-    A record object is built only when one is asked for, by indexing or
-    iterating.  Where a key repeats, the last record with it wins.
+    (level, size class) the first time an analysis asks for it and keeps
+    it for the manifest it was laid out by; validation lays out none.
+    Each record is placed once per manifest (:meth:`codes`) and numbered
+    once by its planner (:meth:`planner_ids`); a grid selects its cells
+    and rows from those numbers.  A record object is built only when one
+    is asked for, by indexing or iterating.  Where a key repeats, the last
+    record with it wins.
     """
 
     def __init__(self, columns: Sequence[Sequence]):
         self.columns: dict[str, Sequence] = dict(zip(RUNS_HEADER, columns))
-        # the (planner, level) pairs, the cell arrays and, for one manifest,
-        # the records' codes and the grids, made on first use
+        # the (planner, level) pairs, the planner numbers, the cell arrays
+        # and, for one manifest, the records' codes and the grids, made on
+        # first use
         self._planner_levels: set[tuple[str, Level]] | None = None
+        self._planner_ids: tuple[tuple[str, ...], np.ndarray] | None = None
         self._arrays: dict[str, np.ndarray] | None = None
         self._manifest: Manifest | None = None
         self._codes: np.ndarray | None = None
@@ -317,6 +321,17 @@ class RunTable(Sequence[RunRecord]):
         if self._planner_levels is None:
             self._planner_levels = set(zip(self.columns["planner"], self.columns["level"]))
         return self._planner_levels
+
+    def planner_ids(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The records' distinct planners in name order, and each record's
+        position among them."""
+        if self._planner_ids is None:
+            planner = self.columns["planner"]
+            names = sorted(set(planner))
+            at = {name: k for k, name in enumerate(names)}
+            ids = np.fromiter(map(at.__getitem__, planner), dtype=np.intp, count=len(self))
+            self._planner_ids = (tuple(names), ids)
+        return self._planner_ids
 
     def codes(self, manifest: Manifest) -> np.ndarray:
         """Each record's column code under ``manifest`` (see :class:`Manifest`),
@@ -348,11 +363,12 @@ class RunTable(Sequence[RunRecord]):
         names = tuple(sorted(entrants.union(p for p, lv in self.planner_levels() if lv is level)))
         rows = {name: r for r, name in enumerate(names)}
         codes = self.codes(manifest)
-        # the table rows of the grid's records and each one's planner row
+        # the table rows of the grid's records and each one's planner row;
+        # every planner with a record at the level has a row
         at = np.flatnonzero((codes >= start) & (codes < stop))
-        planner = self.columns["planner"]
-        cell_rows = np.fromiter(map(rows.__getitem__, map(planner.__getitem__, at.tolist())),
-                                dtype=np.intp, count=len(at))
+        planners, ids = self.planner_ids()
+        row_of = np.array([rows.get(name, -1) for name in planners], dtype=np.intp)
+        cell_rows = row_of[ids[at]]
         index = np.full((len(names), stop - start), -1, dtype=np.intp)
         # where a key repeats, the last record, the highest table row, wins
         np.maximum.at(index, (cell_rows, codes[at] - start), at)
@@ -459,32 +475,39 @@ def _columns_by_row(rows: Sequence[Sequence[str]], numbers: Sequence[int]) -> li
 
 
 def _columns(text: str) -> list[Sequence] | None:
-    """The columns of a runs CSV without quotes, split and converted a column
-    at a time; None when it has quotes, lone carriage returns, another
-    header, a line without nine fields, or a row that breaks a rule
-    ``_parse_row`` checks or pads a field."""
-    if '"' in text or text.count("\r") != text.count("\r\n"):
+    """The columns of a runs CSV without quotes, split into fields once and
+    converted a column at a time; None when it has quotes, lone carriage
+    returns, another header, a line without nine fields, or a row that
+    breaks a rule ``_parse_row`` checks or pads a field."""
+    if '"' in text:
         return None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    width = len(RUNS_HEADER)
-    if lines[:1] != [",".join(RUNS_HEADER)]:
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    header, _, body = text.partition("\n")
+    if header != ",".join(RUNS_HEADER):
         return None
-    del lines[0]
-    if any(line.count(",") != width - 1 for line in lines):
-        return None
-    if not lines:
+    if not body:
         return [[] for _ in RUNS_HEADER]
-    # unquoted: csv would split each line at its commas
-    fields = ",".join(lines).split(",")
-    del lines  # lower the peak: the columns below share the field strings
+    if body[-1] == "\n":
+        body = body[:-1]
+    # unquoted: csv would split each line at its commas.  Each line end
+    # becomes a field of its own, so rows of nine fields put the line ends
+    # at every tenth field and nowhere else.
+    rows = body.count("\n") + 1
+    width = len(RUNS_HEADER) + 1
+    fields = body.replace("\n", ",\n,").split(",")
+    del body  # lower the peak: the columns below share the field strings
+    if len(fields) != width * rows - 1 or fields[width - 1::width].count("\n") != rows - 1:
+        return None
     planner, domain, level_raw, problem, solved_raw, *raw = (
-        fields[k::width] for k in range(width)
+        fields[k::width] for k in range(width - 1)
     )
     del fields
     for column in (planner, domain, level_raw, problem):
-        if "" in column or any(value != value.strip() for value in set(column)):
+        distinct = set(column)
+        if "" in distinct or any(value != value.strip() for value in distinct):
             return None
     if not set(solved_raw) <= {"0", "1"}:
         return None
@@ -505,16 +528,20 @@ def _columns(text: str) -> list[Sequence] | None:
         return None
     if not all(map(math.isfinite, filter(None, metric_value))):
         return None
-    # keys compare levels by value: "strips" and "STRIPS" are one level
-    canonical = {value: level.value for value, level in levels.items()}
-    if len(set(zip(planner, domain, map(canonical.get, level_raw), problem))) < len(planner):
-        return None
+    # keys hold the parsed level: "strips" and "STRIPS" are one level
     level = list(map(levels.__getitem__, level_raw))
+    if len(set(zip(planner, domain, level, problem))) < len(planner):
+        return None
     return [planner, domain, level, problem, solved, time_ms, metric_value, seq_length, conc_length]
 
 
 def load_runs(path: str | Path) -> RunTable:
-    """Load and validate a runs CSV.
+    """Load and validate a runs CSV: :func:`runs_from_bytes` of its bytes."""
+    return runs_from_bytes(Path(path).read_bytes())
+
+
+def runs_from_bytes(data: bytes) -> RunTable:
+    """Parse and validate the bytes of a runs CSV.
 
     Order-preserving and deterministic; the first malformed row aborts
     the load with a row-numbered error.
@@ -526,7 +553,6 @@ def load_runs(path: str | Path) -> RunTable:
             column the commas before it on that line give.
         DuplicateKey: if a (planner, domain, level, problem) key repeats.
     """
-    data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -586,7 +612,14 @@ def save_runs(records: Iterable[RunRecord], path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    """Load and validate a manifest JSON document.
+    """Load and validate a manifest JSON document: :func:`manifest_from_bytes`
+    of its bytes."""
+    return manifest_from_bytes(Path(path).read_bytes())
+
+
+def manifest_from_bytes(data: bytes) -> Manifest:
+    """Parse and validate the bytes of a manifest JSON document, decoded as
+    a file opened in text mode reads them.
 
     Raises:
         ParseError: on malformed JSON, text that is not UTF-8, or
@@ -596,8 +629,7 @@ def load_manifest(path: str | Path) -> Manifest:
         DuplicateProblem: if a problem id repeats within a (domain, level).
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return parse_manifest(doc)
@@ -695,7 +727,9 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
     attempt" and are reported informationally).  Planners and levels are
     checked once per distinct (planner, level) pair and problems on the
     records' codes; only when a check fails are the records walked one by
-    one, to report each error in record order.
+    one, to report each error in record order.  Coverage is counted on the
+    codes too: the last record of each (planner, column), tallied per
+    (planner, grid), so no grid is laid out.
     """
     runs = RunTable.of(runs)
     diagnostics: list[Diagnostic] = []
@@ -736,24 +770,32 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
                     )
                 )
 
-    levels = manifest.levels()
-    # per grid: its rows, its width and each row's attempted and solved counts
-    tallies = {}
+    # the last record of each (planner, column) the manifest declares
+    names, ids = runs.planner_ids()
+    known = np.flatnonzero(codes >= 0)
+    keys = ids[known] * len(manifest._column_sets) + codes[known]
+    _, first = np.unique(keys[::-1], return_index=True)
+    last = known[len(known) - 1 - first]
+    # each (planner, grid)'s attempted and solved columns, counted on the codes
+    grid_of = np.empty(len(manifest._column_sets), dtype=np.intp)
+    for g, (start, stop, _) in enumerate(manifest._layouts.values()):
+        grid_of[start:stop] = g
+    cells = ids[last] * len(manifest._layouts) + grid_of[codes[last]]
+    last_solved = np.fromiter(runs.columns["solved"], dtype=bool, count=len(runs))[last]
+    shape = (len(names), len(manifest._layouts))
+    attempted = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape).tolist()
+    solved = np.bincount(cells[last_solved], minlength=shape[0] * shape[1]).reshape(shape).tolist()
+    rows = {name: r for r, name in enumerate(names)}
     for entry in manifest.planners:
+        row = rows.get(entry.name)
+        faced = sizes_faced(entry.category)
         n_available = n_attempted = n_solved = 0
-        for level in levels:
-            if level not in entry.levels_entered:
-                continue
-            for size_class in sizes_faced(entry.category):
-                if (level, size_class) not in tallies:
-                    grid = runs.grid(manifest, level, size_class)
-                    counts = np.stack((grid.present, grid.solved), axis=-1).sum(axis=1)
-                    tallies[level, size_class] = (grid.rows, grid.index.shape[1], counts.tolist())
-                rows, width, counts = tallies[level, size_class]
-                attempted, solved = counts[rows[entry.name]]
-                n_available += width
-                n_attempted += attempted
-                n_solved += solved
+        for g, ((level, size_class), (start, stop, _)) in enumerate(manifest._layouts.items()):
+            if level in entry.levels_entered and size_class in faced:
+                n_available += stop - start
+                if row is not None:
+                    n_attempted += attempted[row][g]
+                    n_solved += solved[row][g]
         if not n_available:
             continue
         diagnostics.append(

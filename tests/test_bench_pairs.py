@@ -1,7 +1,9 @@
 """scripts/bench_pairs.py names the program it measured by git's hash of the
-committed src/ tree, so it refuses a checkout whose src/ differs from it."""
+committed src/ tree, so it refuses a checkout whose src/ differs from it,
+and prints every end-to-end metric of each run as the runs go."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -60,3 +62,34 @@ def test_checkout_without_git_has_no_tree(tmp_path, monkeypatch):
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
     (tmp_path / "src").mkdir()
     assert load_script().src_tree(tmp_path) is None
+
+
+def test_progress_line_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    benchmark = {"end_to_end": [{"name": "pipeline_s", "better": "lower"},
+                                {"name": "setup_s", "better": "lower"},
+                                {"name": "ok_share", "better": "higher"}]}
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
+    for checkout in checkouts.values():
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    bench_pairs = load_script()
+
+    def run_once(checkout, workload, seed, seconds):
+        setup = 0.004 if checkout == checkouts["change"] else 0.006
+        metrics = {"pipeline_s": 0.03, "setup_s": setup, "ok_share": 1.0}
+        return {"correct": True,
+                "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}, []
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]),
+                             "--change", str(checkouts["change"]), "--workload", "w",
+                             "--seconds", "1", "--seeds", "3", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "pair 0 seed 3 parent: pipeline_s 0.03 setup_s 0.006 ok_share 1.0 correct True",
+        "pair 0 seed 3 change: pipeline_s 0.03 setup_s 0.004 ok_share 1.0 correct True",
+    ]
+    summary = json.loads(out.read_text())["summary"]["3"]["metrics"]
+    assert summary["setup_s"]["change_better_pairs"] == 1

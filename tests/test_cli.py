@@ -1,5 +1,8 @@
+import builtins
 import csv
+import hashlib
 import importlib.util
+import io
 import json
 import re
 import sys
@@ -91,22 +94,79 @@ class TestValidateCommand:
 class TestColumnarPath:
     def test_compare_loads_once_and_builds_no_record(self, tmp_path, monkeypatch):
         loads, records = [], []
-        load_runs, record_init = dataio.load_runs, dataio.RunRecord.__init__
+        runs_from_bytes, record_init = dataio.runs_from_bytes, dataio.RunRecord.__init__
 
-        def counting_load(path):
-            loads.append(path)
-            return load_runs(path)
+        def counting_load(data):
+            loads.append(data)
+            return runs_from_bytes(data)
 
         def counting_init(self, *args, **kwargs):
             records.append(args)
             record_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(dataio, "load_runs", counting_load)
-        monkeypatch.setattr(cli, "load_runs", counting_load)
+        monkeypatch.setattr(dataio, "runs_from_bytes", counting_load)
+        monkeypatch.setattr(cli, "runs_from_bytes", counting_load)
         monkeypatch.setattr(dataio.RunRecord, "__init__", counting_init)
         assert invoke("compare", *common(tmp_path)) == 0
-        assert loads == [RUNS]
+        assert loads == [Path(RUNS).read_bytes()]
         assert records == []
+
+    def test_compare_reads_each_input_once(self, tmp_path, monkeypatch):
+        """The session parses and hashes the bytes of one read per file, so
+        the dataset hash names the bytes analysed."""
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        # pathlib opens through io.open, open() through builtins.open
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert invoke("compare", *common(tmp_path)) == 0
+        assert (opened.count(RUNS), opened.count(MANIFEST)) == (1, 1)
+        header = (tmp_path / "compare_auto_strips_speed_small.txt").read_text().splitlines()
+        digest = hashlib.sha256(Path(RUNS).read_bytes() + Path(MANIFEST).read_bytes())
+        assert f"# dataset_sha256={digest.hexdigest()}" in header
+
+
+class TestGridLayOut:
+    """Validation counts coverage on the record codes and lays out no grid;
+    each analysis lays out the (level, size class) grids it reads."""
+
+    def lay_outs(self, monkeypatch, *argv):
+        calls = []
+        lay_out = dataio.RunTable._lay_out
+
+        def counting(self, manifest, level, size_class):
+            calls.append((level.value, size_class.value))
+            return lay_out(self, manifest, level, size_class)
+
+        monkeypatch.setattr(dataio.RunTable, "_lay_out", counting)
+        assert invoke(*argv) == 0
+        return calls
+
+    def test_validate_lays_out_no_grid(self, tmp_path, monkeypatch):
+        assert self.lay_outs(monkeypatch, "validate", *common(tmp_path)) == []
+
+    def test_series_lays_out_its_grid(self, tmp_path, monkeypatch):
+        argv = common(tmp_path, "--domain", "transport", "--level", "numeric")
+        assert self.lay_outs(monkeypatch, "series", *argv) == [("numeric", "small")]
+
+    def test_compare_lays_out_its_category_sizes(self, tmp_path, monkeypatch):
+        # the sample's manifest with a large set per small one, which only
+        # hand-coded planners face
+        doc = json.loads(Path(MANIFEST).read_text())
+        doc["problem_sets"] += [{**s, "size_class": "large", "problems": ["L01", "L02"]}
+                                for s in doc["problem_sets"]]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        argv = ["--runs", RUNS, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+        assert self.lay_outs(monkeypatch, "compare", *argv) == [
+            ("strips", "small"), ("numeric", "small")]
+        assert self.lay_outs(monkeypatch, "compare", *argv, "--level", "numeric") == [
+            ("numeric", "small")]
 
 
 class TestPairBuilding:
@@ -572,7 +632,9 @@ class TestFlagTable:
         with pytest.raises(SystemExit) as exc:
             invoke(*argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: planstats {command} ")
+        assert f"planstats {command}: error: unrecognized arguments: {' '.join(flag)}" in err
         assert not (tmp_path / "out").exists()
 
     def test_parser_built_once(self):
@@ -602,7 +664,7 @@ class TestFullAnalysisScript:
         assert capsys.readouterr().err.startswith("input error: invalid JSON")
 
     def test_reads_the_dataset_once(self, tmp_path, monkeypatch):
-        calls = {"load_runs": 0, "load_manifest": 0, "validate_dataset": 0}
+        calls = {"runs_from_bytes": 0, "manifest_from_bytes": 0, "validate_dataset": 0}
         for name in calls:
             function = getattr(cli, name)
 
@@ -613,4 +675,4 @@ class TestFullAnalysisScript:
             monkeypatch.setattr(cli, name, counting)
         assert self.run_script(tmp_path, monkeypatch, MANIFEST) == 0
         assert len(list(tmp_path.glob("series_*.csv"))) > 1
-        assert calls == {"load_runs": 1, "load_manifest": 1, "validate_dataset": 1}
+        assert calls == {"runs_from_bytes": 1, "manifest_from_bytes": 1, "validate_dataset": 1}

@@ -1,10 +1,14 @@
+import csv
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_MANIFEST_FIELDS, manifest_doc_with, pset, run, simple_manifest
+from planstats import dataio
 from planstats.dataio import (
     BadField,
     Category,
@@ -15,8 +19,13 @@ from planstats.dataio import (
     Manifest,
     MissingHeader,
     ParseError,
+    PlannerEntry,
+    ProblemSet,
+    QualityDirection,
     RUNS_HEADER,
     RunRecord,
+    RunTable,
+    SizeClass,
     UnknownLevel,
     load_manifest,
     load_runs,
@@ -26,6 +35,9 @@ from planstats.dataio import (
     validate_dataset,
 )
 
+from test_run_grid import reference_validate
+
+ROOT = Path(__file__).resolve().parent.parent
 HEADER = "planner,domain,level,problem,solved,time_ms,metric_value,seq_length,conc_length"
 
 
@@ -368,3 +380,87 @@ class TestValidateDataset:
             "planner auto attempted 1 and solved 1 of 4 available problems",
             "planner hand attempted 3 and solved 3 of 7 available problems",
         ]
+
+
+def row_by_row(text):
+    """The records of a runs CSV parsed a row at a time."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    return list(RunTable(dataio._columns_by_row(rows, range(2, len(rows) + 2))))
+
+
+class TestColumnPath:
+    """A valid file without quotes loads through the one-split column path;
+    ``_columns_by_row``, the slower row-at-a-time parse, is only the
+    fallback and the source of every error."""
+
+    @pytest.fixture()
+    def runs_text(self, request, tmp_path):
+        if request.param == "sample":
+            return (ROOT / "data" / "sample" / "runs.csv").read_text(encoding="utf-8")
+        spec = importlib.util.spec_from_file_location(
+            "_gridgen_under_test", ROOT / "perfbench" / "gridgen.py")
+        gridgen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gridgen)
+        runs, _ = gridgen.write_grid(1, tmp_path / "grid", gridgen.SHAPE)
+        return runs.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("runs_text", ["sample", "grid"], indirect=True)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_valid_file_is_not_parsed_row_by_row(self, runs_text, newline, tmp_path, monkeypatch):
+        expected = row_by_row(runs_text)
+        path = tmp_path / "runs.csv"
+        path.write_bytes(runs_text.replace("\n", newline).encode("utf-8"))
+
+        def refuse(rows, numbers):
+            raise AssertionError("a valid file was parsed row by row")
+
+        monkeypatch.setattr(dataio, "_columns_by_row", refuse)
+        loaded = list(load_runs(path))
+        assert len(loaded) > 100
+        assert loaded == expected
+
+    def test_short_row_before_a_long_one_is_refused_by_row(self):
+        # eight fields, then ten: the file's field count is that of two
+        # good rows, but its line ends are out of step with the columns
+        text = (f"{HEADER}\n"
+                "hermes,cargo,strips,p01,1,120,,14\n"
+                "hermes,cargo,strips,p02,1,120,,14,9,9\n")
+        with pytest.raises(BadField) as exc:
+            load_text(text)
+        assert (exc.value.row, exc.value.column) == (2, "<row>")
+        assert exc.value.reason == "expected 9 fields, got 8"
+
+
+def test_repeated_planner_entry_coverage_equals_per_key_scan():
+    """A hand-built manifest may declare a planner twice; each entry gets
+    its own coverage line, counted on the planner's records of the grids
+    that entry faces, and a repeated record key counts once."""
+    strips, numeric = Level.STRIPS, Level.NUMERIC
+    minimize = QualityDirection.MINIMIZE
+    manifest = Manifest(
+        planners=(
+            PlannerEntry("a", Category.FULLY_AUTOMATED, frozenset({strips})),
+            PlannerEntry("b", Category.FULLY_AUTOMATED, frozenset({strips, numeric})),
+            PlannerEntry("a", Category.HAND_CODED, frozenset({strips, numeric})),
+        ),
+        problem_sets=(
+            ProblemSet("d", strips, SizeClass.SMALL, minimize, ("p1", "p2", "p3")),
+            ProblemSet("d", strips, SizeClass.LARGE, minimize, ("L1", "L2")),
+            ProblemSet("d", numeric, SizeClass.SMALL, minimize, ("p1", "p2")),
+        ),
+    )
+    runs = [
+        RunRecord("a", "d", strips, "p1", True, 5),
+        RunRecord("a", "d", strips, "L1", True, 9),
+        RunRecord("a", "d", strips, "L2", False),
+        RunRecord("a", "d", numeric, "p2", True, 4),
+        RunRecord("b", "d", numeric, "p1", True, 2),
+        RunRecord("a", "d", strips, "p1", False),
+    ]
+    diagnostics = validate_dataset(runs, manifest)
+    assert diagnostics == reference_validate(runs, manifest)
+    assert [d.message for d in diagnostics if d.kind == "Coverage"] == [
+        "planner a attempted 1 and solved 0 of 3 available problems",
+        "planner b attempted 1 and solved 1 of 5 available problems",
+        "planner a attempted 4 and solved 2 of 7 available problems",
+    ]
