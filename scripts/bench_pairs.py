@@ -11,7 +11,10 @@ speed does not favour either side.  The output file holds every run (pair,
 side, order within the pair, seed, the run's printed result line and its
 ``check failed`` lines) and, per seed, each side's median and quartiles of
 every end-to-end metric and the number of pairs in which the change was
-better, by the metric's direction in BENCHMARK.json.  Standard library only.
+better, by the metric's direction in BENCHMARK.json, the parent's IQR, the
+relative change of the medians and ``better_by_rule``: the change won at
+least nine tenths of the pairs and its median is better than the parent's
+by more than the parent's IQR.  Standard library only.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per seed and metric: each side's quartiles and the pairs the change won."""
+    """Per seed and metric: each side's quartiles, the pairs the change won
+    and the gain rule's verdict (see the module docstring)."""
     summary = {}
     for seed in sorted({r["seed"] for r in runs}):
         at_seed = [r for r in runs if r["seed"] == seed]
@@ -82,9 +86,16 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                 and value[(p, "change")] != value[(p, "parent")]
                 for p in pairs
             )
+            sides = {side: quartiles([value[(p, side)] for p in pairs]) for side in SIDES}
+            parent, change = sides["parent"]["median"], sides["change"]["median"]
+            parent_iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+            gain = parent - change if better == "lower" else change - parent
             per_metric[metric] = {
-                **{side: quartiles([value[(p, side)] for p in pairs]) for side in SIDES},
+                **sides,
                 "change_better_pairs": wins,
+                "parent_iqr": parent_iqr,
+                "median_change": (change - parent) / parent if parent else None,
+                "better_by_rule": 10 * wins >= 9 * len(pairs) and gain > parent_iqr,
             }
         summary[str(seed)] = {"pairs": len(pairs), "metrics": per_metric}
     return summary

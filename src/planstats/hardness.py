@@ -26,7 +26,21 @@ which consume no word.  So each planner draw's word is found by the
 running count of consuming draws before it.  When every problem of the
 pool has two or more planners, no draw is skipped and a sample's planner
 words are the plain slice of the m words after its problem words, which
-is faster to read than the running count.
+is faster to read than the running count.  When moreover every problem
+has the same number k of planners, as in every level-specific pool, the
+problem and planner draws are one product of a sample's first words with
+a row of multipliers (the problem count, then k), and a draw's timing is
+read at problem * k + planner of the pool's concatenated timings.  The
+word block is laid out word by word, so that one draw across a chunk of
+samples is a contiguous column.
+
+Rejections: numpy draws again when (u * n) mod 2**32 < (2**32 - n) mod n.
+The sampler compares every draw of a pool with one bound, the largest of
+those thresholds over the pool's problem count and planner counts, and
+recomputes each sample with a draw below it with ``_sample_area``.  The
+flagged samples hold every rejection and may hold a draw numpy accepts;
+either way the recomputed area is the exact one.  A threshold is below n,
+so a draw is flagged less than once in 2**32 / n for the pool's largest n.
 
 The verdicts are computed a set and a pool at a time: ``subject_areas``
 finds every subject's area over one problem set, ``classify_subjects``
@@ -38,7 +52,7 @@ are their one-row calls.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -121,11 +135,15 @@ class BootstrapDistribution:
     cutoff_ms: int
     seed: int
     rng: str = RNG_NAME
+    # the samples as a float array, when the caller already holds one
+    sample_array: InitVar[np.ndarray | None] = None
     # the samples in ascending order, for percentile lookups
     _ordered: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_ordered", np.sort(np.array(self.samples, dtype=float)))
+    def __post_init__(self, sample_array: np.ndarray | None) -> None:
+        if sample_array is None:
+            sample_array = np.array(self.samples, dtype=float)
+        object.__setattr__(self, "_ordered", np.sort(sample_array))
 
 
 @dataclass(frozen=True)
@@ -306,15 +324,32 @@ def _sample_area(
     return area
 
 
-def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64 bits of the 128-bit product multiplier * x, built from
-    32-bit halves so that no partial product overflows."""
+def _mulhi(multiplier: int, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the high 64 bits of the 128-bit product multiplier * x into
+    ``out``: the four 32-bit partial products of the mulhu routine of
+    Warren's Hacker's Delight (ch. 8), summed in place in ``out`` and
+    ``scratch``, so that no partial product overflows."""
     m_lo, m_hi = np.uint64(multiplier & 0xFFFFFFFF), np.uint64(multiplier >> 32)
-    x_lo, x_hi = x & _UINT32_MASK, x >> _SHIFT32
-    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    mid = (ll >> _SHIFT32) + (lh & _UINT32_MASK) + (hl & _UINT32_MASK)
-    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return x * np.uint64(multiplier), hi
+    # t = x_lo * m_hi + (x_lo * m_lo >> 32), which stays below 2**64
+    np.bitwise_and(x, _UINT32_MASK, out=scratch)
+    np.multiply(scratch, m_hi, out=out)
+    scratch *= m_lo
+    scratch >>= _SHIFT32
+    out += scratch
+    # w = x_hi * m_lo + (t mod 2**32), also below 2**64: adding all of t may
+    # wrap, and taking t's high half off again undoes the wrap
+    np.right_shift(x, _SHIFT32, out=scratch)
+    scratch *= m_lo
+    scratch += out
+    out &= ~_UINT32_MASK
+    scratch -= out
+    # high = x_hi * m_hi + (t >> 32) + (w >> 32)
+    out >>= _SHIFT32
+    scratch >>= _SHIFT32
+    out += scratch
+    np.right_shift(x, _SHIFT32, out=scratch)
+    scratch *= m_hi
+    out += scratch
 
 
 def _philox_words(seed: int, sample_index: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -322,21 +357,43 @@ def _philox_words(seed: int, sample_index: np.ndarray, n_blocks: int) -> np.ndar
 
     Row r holds what ``np.random.Philox(key=[seed, sample_index[r]])`` yields
     to 32-bit draws: blocks at counters 1, 2, ..., each of four 64-bit words,
-    each word low half first.  The words are returned as uint64.
+    each word low half first.  The words are returned as uint64, laid out
+    word by word (the transpose of a C-ordered array), so that a column of
+    words, one draw across the samples, is contiguous.
+
+    The first round, on a state that is zero but for the counter, is
+    computed on the counters alone; the other rounds update four
+    (n_blocks, rows) buffers in place.
     """
-    key1 = sample_index.astype(np.uint64)[:, None]
-    c0 = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        # the first round uses the key itself, each later one bumps it once more
+    shape = (n_blocks, len(sample_index))
+    key1 = sample_index.astype(np.uint64)[None, :]
+    counter = np.arange(1, n_blocks + 1, dtype=np.uint64)[:, None]
+    c0 = np.full(shape, np.uint64(seed & _UINT64_MASK))
+    c1 = np.zeros(shape, dtype=np.uint64)
+    c2 = np.empty(shape, dtype=np.uint64)
+    c3 = np.empty(shape, dtype=np.uint64)
+    high, scratch = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    _mulhi(_PHILOX_M[0], counter, high[:, :1], scratch[:, :1])
+    np.bitwise_xor(high[:, :1], key1, out=c2)
+    np.multiply(counter, np.uint64(_PHILOX_M[0]), out=c3)
+    for r in range(1, _PHILOX_ROUNDS):
+        # each round bumps the key once more
         k0 = np.uint64((seed + r * _PHILOX_W[0]) & _UINT64_MASK)
         k1 = key1 + np.uint64((r * _PHILOX_W[1]) & _UINT64_MASK)
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
-    halves = np.stack((words & _UINT32_MASK, words >> _SHIFT32), axis=-1)
-    return halves.reshape(len(sample_index), 8 * n_blocks)
+        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
+        # written over c1, c2, c3 and c0
+        _mulhi(_PHILOX_M[1], c2, high, scratch)
+        c1 ^= high
+        c1 ^= k0
+        _mulhi(_PHILOX_M[0], c0, high, scratch)
+        c3 ^= high
+        c3 ^= k1
+        c2 *= np.uint64(_PHILOX_M[1])
+        c0 *= np.uint64(_PHILOX_M[0])
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    words = np.stack((c0, c1, c2, c3), axis=1)
+    halves = np.stack((words & _UINT32_MASK, words >> _SHIFT32), axis=2)
+    return halves.reshape(8 * n_blocks, len(sample_index)).T
 
 
 class _PoolDraws:
@@ -345,7 +402,10 @@ class _PoolDraws:
     The draws follow ``Generator.integers``: m problem draws, then one
     planner draw per drawn problem, each a Lemire reduction (u * n) >> 32 of
     one 32-bit word; a draw over a single value consumes no word (see the
-    module docstring for the layout).
+    module docstring for the layout).  When every problem has the same
+    number k >= 2 of planners, ``same_count`` is k and each draw is read
+    with the scalar k; otherwise it is 0 and the planner counts are looked
+    up per draw.
     """
 
     def __init__(self, per_problem: list[np.ndarray], m: int) -> None:
@@ -355,38 +415,61 @@ class _PoolDraws:
         self.lens = np.array([len(t) for t in per_problem], dtype=np.uint64)
         self.starts = np.concatenate(([0], np.cumsum(self.lens[:-1]))).astype(np.intp)
         self.flat = np.concatenate(per_problem)
-        # numpy rejects a word when (u * n) mod 2**32 < (2**32 - n) mod n
-        self.thresholds = (np.uint64(1 << 32) - self.lens) % self.lens
-        self.problem_threshold = np.uint64(((1 << 32) - self.n_problems) % self.n_problems)
         self.problem_words = m if self.n_problems > 1 else 0
         self.n_blocks = -(-(self.problem_words + m) // 8)
         self.every_draw_consumes = bool(self.lens.min() > 1)
+        self.same_count = int(self.lens[0]) if self.every_draw_consumes and (
+            self.lens == self.lens[0]).all() else 0
+        # numpy rejects a word when (u * n) mod 2**32 < (2**32 - n) mod n; one
+        # bound, the largest of the pool's thresholds, flags every rejection
+        counts = np.append(self.lens, np.uint64(self.n_problems))
+        self.bound = np.uint32(((np.uint64(1 << 32) - counts) % counts).max())
+        # a same-count pool's draw counts, the problem draws' first
+        self.multipliers = np.array(
+            [self.n_problems] * self.problem_words + [self.same_count] * m, dtype=np.uint64)
 
     def fill(self, words: np.ndarray, area: np.ndarray) -> np.ndarray:
-        """Write each row's sample area into ``area``; return the rows with
-        a rejected draw, whose areas are wrong."""
+        """Write each row's sample area into ``area``; return the rows that
+        may hold a rejected draw, whose areas the caller recomputes.
+
+        Every row with a rejected draw is returned, and now and then a row
+        without one: a draw is flagged when its low 32 bits fall below the
+        pool's largest threshold rather than its own.
+        """
         m, first = self.m, self.problem_words
-        scaled = words[:, :m] * np.uint64(self.n_problems)
-        # the draws are below 2**32, so reading them as int64 is exact
-        drawn = (scaled >> _SHIFT32).view(np.int64)
-        rejected = ((scaled & _UINT32_MASK) < self.problem_threshold).any(axis=1)
-        n_planners = self.lens[drawn]
-        if self.every_draw_consumes:
-            planner_words = words[:, first : first + m]
+        if self.same_count:
+            scaled = words[:, : first + m] * self.multipliers
+            flagged = scaled.astype(np.uint32) < self.bound
+            scaled >>= _SHIFT32
+            # the draws are below 2**32, so reading them as int64 is exact
+            draws = scaled.view(np.int64)
+            index = draws[:, first:]
+            if first:
+                draws[:, :first] *= self.same_count
+                index += draws[:, :first]
+            values = self.flat[index]
         else:
-            # a draw's word follows the problem words and the consuming draws before it
-            consumes = n_planners > 1
-            position = np.cumsum(consumes, axis=1) - consumes
-            row_start = np.arange(0, words.size, words.shape[1])[:, None]
-            planner_words = words.ravel()[row_start + first + position]
-        scaled = planner_words * n_planners
-        planner = (scaled >> _SHIFT32).view(np.int64)
-        rejected |= ((scaled & _UINT32_MASK) < self.thresholds[drawn]).any(axis=1)
-        values = self.flat[self.starts[drawn] + planner]
+            scaled = words[:, :m] * np.uint64(self.n_problems)
+            problem_flagged = scaled.astype(np.uint32) < self.bound
+            drawn = (scaled >> _SHIFT32).view(np.int64)
+            n_planners = self.lens[drawn]
+            if self.every_draw_consumes:
+                planner_words = words[:, first : first + m]
+            else:
+                # a draw's word follows the problem words and the consuming draws before it
+                consumes = n_planners > 1
+                position = np.cumsum(consumes, axis=1) - consumes
+                planner_words = np.take_along_axis(words, first + position, axis=1)
+            scaled = planner_words * n_planners
+            flagged = problem_flagged | (scaled.astype(np.uint32) < self.bound)
+            planner = (scaled >> _SHIFT32).view(np.int64)
+            values = self.flat[self.starts[drawn] + planner]
         area[:] = 0.0
         for column in values.T:  # not np.sum: its pairwise order rounds differently
             area += column
-        return np.flatnonzero(rejected)
+        if not flagged.any():  # the usual case, and cheaper to see than per row
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(flagged.any(axis=1))
 
 
 def _sample_areas(seed: int, pools: list[list[np.ndarray]], m: int, B: int) -> list[np.ndarray]:
@@ -395,10 +478,10 @@ def _sample_areas(seed: int, pools: list[list[np.ndarray]], m: int, B: int) -> l
 
     A sample's words do not depend on the pool, so each chunk's word block
     is computed once, as wide as the widest pool needs, and every pool
-    draws from it with its own Lemire thresholds (see ``_PoolDraws``).
-    Samples with a rejected draw in a pool are rare and are recomputed for
-    that pool by ``_sample_area``.  Each area adds its m times left to
-    right, as the scalar sampler does.
+    draws from it with its own rejection bound (see ``_PoolDraws``).
+    Samples flagged for a possibly rejected draw in a pool are rare and are
+    recomputed for that pool by ``_sample_area``.  Each area adds its m
+    times left to right, as the scalar sampler does.
     """
     draws = [_PoolDraws(per_problem, m) for per_problem in pools]
     areas = [np.empty(B) for _ in draws]
@@ -449,6 +532,7 @@ def bootstrap_distributions(
             m=m,
             cutoff_ms=cutoff_ms,
             seed=seed,
+            sample_array=areas,
         )
         for kind, areas in zip(filled, samples)
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import operator
 
@@ -212,6 +213,20 @@ class TestCounterBasedSampler:
             halves = np.stack((raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)), axis=-1)
             assert row.tolist() == halves.reshape(-1).tolist()
 
+    @pytest.mark.parametrize("n_blocks", [1, 5])
+    def test_philox_words_match_numpy_at_chunk_size(self, n_blocks):
+        # the rounds rotate four full-width buffers in place; a row sample
+        # across the whole chunk catches a buffer read after it was overwritten
+        seed = 2**63 + 12345
+        index = np.arange(7 * _CHUNK, 8 * _CHUNK, dtype=np.uint64)
+        words = _philox_words(seed, index, n_blocks)
+        assert words.shape == (_CHUNK, 8 * n_blocks)
+        for r in [0, 1, 2, 511, 512, _CHUNK - 2, _CHUNK - 1]:
+            raw = np.random.Philox(key=np.array([seed, index[r]], dtype=np.uint64)).random_raw(
+                4 * n_blocks)
+            halves = np.stack((raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)), axis=-1)
+            assert words[r].tolist() == halves.reshape(-1).tolist()
+
     @settings(max_examples=25, deadline=None)
     @given(
         pool=st.lists(
@@ -258,6 +273,8 @@ class TestSharedWordBlock:
         # every problem has two or more planners: the planner words are one slice
         "all-consuming": [np.array([0.5, 6.0, 2.5]), np.array([3.0, 1e6 / 3]),
                           np.array([8.0, 4.5, 7.0, 0.125]), np.array([5.0, 9.5])],
+        # every problem has three planners: the draws use the scalar count
+        "same-count": [np.array([k + 0.5, 1e6 / (k + 3), 2.0 * k]) for k in range(5)],
     }
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -287,6 +304,95 @@ class TestSharedWordBlock:
 
     def test_no_pools(self):
         assert _sample_areas(0, [], 20, 10) == []
+
+    @pytest.mark.parametrize("counts, same_count", [
+        ([3, 3, 3, 3], 3),
+        ([3], 3),
+        ([2, 4, 2, 4], 0),
+        ([1, 1, 1], 0),
+    ])
+    def test_scalar_path_exactly_for_one_shared_count(self, counts, same_count):
+        pool = [np.arange(n, dtype=float) + 10.0 * k for k, n in enumerate(counts)]
+        draws = _PoolDraws(pool, 20)
+        assert draws.same_count == same_count
+        if same_count:
+            # the scalar path reads no per-problem table
+            draws.lens = draws.starts = None
+            words = _philox_words(4, np.arange(64, dtype=np.uint64), draws.n_blocks)
+            area = np.empty(64)
+            redo = set(draws.fill(words, area).tolist())
+            assert [a for i, a in enumerate(area.tolist()) if i not in redo] == [
+                _sample_area(i, 4, pool, 20) for i in range(64) if i not in redo]
+
+
+def lemire_reference(row: list[int], pool: list[np.ndarray], m: int) -> float | None:
+    """The area numpy's draws give a row of 32-bit words, or None when one
+    of its draws is rejected (numpy would draw that one again)."""
+    words = iter(row)
+
+    def draw(n: int) -> int | None:
+        if n == 1:
+            return 0  # consumes no word
+        product = next(words) * n
+        if product % 2**32 < (2**32 - n) % n:
+            return None
+        return product >> 32
+
+    problems = [draw(len(pool)) for _ in range(m)]
+    if None in problems:
+        return None
+    area = 0.0
+    for p in problems:
+        planner = draw(len(pool[p]))
+        if planner is None:
+            return None
+        area += float(pool[p][planner])
+    return area
+
+
+class TestPoolBound:
+    """``_PoolDraws.fill`` flags a draw below the pool's largest Lemire
+    threshold, not its own: it must still flag every rejection, and every
+    row it does not flag must hold numpy's exact area."""
+
+    M = 4
+
+    def low_word(self, n: int, low: int) -> int:
+        """A word u with (u * n) mod 2**32 == low."""
+        return low * pow(n, -1, 2**32) % 2**32
+
+    def problem_word(self, n_problems: int, p: int) -> int:
+        """A word drawing problem p of n, clear of every threshold."""
+        return ((p << 32) + (1 << 31)) // n_problems + 1
+
+    @pytest.mark.parametrize("counts, rejected, accepted", [
+        # thresholds 1 for 3 and 5 values, 4 for 7: the pool's bound is 4
+        ([3, 7, 3, 7, 3], (1, "planner"), (0, "planner")),
+        # the same count, 3, for 7 problems: the bound is the problem draw's 4
+        ([3] * 7, (2, "problem"), (4, "planner")),
+    ])
+    def test_every_rejection_is_flagged(self, counts, rejected, accepted):
+        pool = [np.arange(n, dtype=float) * 1.5 + k for k, n in enumerate(counts)]
+        m, n_problems = self.M, len(pool)
+        draws = _PoolDraws(pool, m)
+        assert draws.same_count == (3 if set(counts) == {3} else 0)
+        rows = np.random.default_rng(7).integers(0, 2**32, size=(200, 2 * m), dtype=np.uint64)
+        # row 0 holds a draw below its own threshold (a rejection), row 1 one
+        # between its own threshold and the pool's bound (numpy accepts it)
+        for row, (problem, draw) in enumerate([rejected, accepted]):
+            rows[row, :m] = self.problem_word(n_problems, problem)
+            n = n_problems if draw == "problem" else counts[problem]
+            rows[row, 0 if draw == "problem" else m] = self.low_word(n, 2)
+            threshold = (2**32 - n) % n
+            assert (2 < threshold) if row == 0 else (threshold <= 2 < draws.bound)
+        reference = [lemire_reference(row, pool, m) for row in rows.tolist()]
+        assert reference[0] is None and reference[1] is not None
+        for block in (rows, np.asfortranarray(rows)):  # the sampler's word-major layout too
+            area = np.empty(len(rows))
+            flagged = set(draws.fill(block, area).tolist())
+            assert {0, 1} <= flagged
+            assert {r for r, a in enumerate(reference) if a is None} <= flagged
+            assert all(area[r] == reference[r] for r in range(len(rows)) if r not in flagged)
 
 
 def make_dist(samples, m=20):
@@ -377,6 +483,17 @@ class TestClassify:
         assert dist.samples == (3.0, 1.0, 2.0)
         assert dist == make_dist([3.0, 1.0, 2.0])
         assert "_ordered" not in repr(dist)
+
+    def test_ordered_samples_from_tuple_and_from_sampler(self):
+        assert make_dist([3.0, 1.0, 2.0])._ordered.tolist() == [1.0, 2.0, 3.0]
+        # the sampler hands its areas array over; the sorted copy is the same
+        manifest = simple_manifest({"a": ["strips"]}, [pset("d", "strips", 3)])
+        runs = [run("a", "d", "strips", f"p{i:02d}", 100 * i) for i in range(1, 4)]
+        dist = bootstrap_distribution(runs, manifest, AUTO, level_specific(Level.STRIPS),
+                                      B=50, m=3, seed=2)
+        assert dist._ordered.tolist() == sorted(dist.samples)
+        assert make_dist(dist.samples, m=3)._ordered.tolist() == dist._ordered.tolist()
+        assert dataclasses.replace(dist, samples=(5.0, 4.0))._ordered.tolist() == [4.0, 5.0]
 
 
 class TestSubjectArea:
