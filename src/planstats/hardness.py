@@ -24,15 +24,12 @@ when the pool has one problem), then one word to each drawn problem's
 planner draw, in draw order, skipping the draws over a single planner,
 which consume no word.  So each planner draw's word is found by the
 running count of consuming draws before it.  When every problem of the
-pool has two or more planners, no draw is skipped and a sample's planner
-words are the plain slice of the m words after its problem words, which
-is faster to read than the running count.  When moreover every problem
-has the same number k of planners, as in every level-specific pool, the
-problem and planner draws are one product of a sample's first words with
-a row of multipliers (the problem count, then k), and a draw's timing is
-read at problem * k + planner of the pool's concatenated timings.  The
-word block is laid out word by word, so that one draw across a chunk of
-samples is a contiguous column.
+pool has the same number k >= 2 of planners, as in every level-specific
+pool, no draw is skipped: the problem and planner draws are one product
+of a sample's first words with a row of multipliers (the problem count,
+then k), and a draw's timing is read at problem * k + planner of the
+pool's concatenated timings.  The word block is laid out word by word,
+so that one draw across a chunk of samples is a contiguous column.
 
 Rejections: numpy draws again when (u * n) mod 2**32 < (2**32 - n) mod n.
 The sampler compares every draw of a pool with one bound, the largest of
@@ -135,15 +132,17 @@ class BootstrapDistribution:
     cutoff_ms: int
     seed: int
     rng: str = RNG_NAME
-    # the samples as a float array, when the caller already holds one
-    sample_array: InitVar[np.ndarray | None] = None
+    # the samples as a float array, passed by the sampler, which holds one
+    _sample_array: InitVar[np.ndarray | None] = None
     # the samples in ascending order, for percentile lookups
     _ordered: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, sample_array: np.ndarray | None) -> None:
-        if sample_array is None:
-            sample_array = np.array(self.samples, dtype=float)
-        object.__setattr__(self, "_ordered", np.sort(sample_array))
+    def __post_init__(self, _sample_array: np.ndarray | None) -> None:
+        if _sample_array is None:
+            _sample_array = np.array(self.samples, dtype=float)
+        elif len(_sample_array) != len(self.samples):
+            raise ValueError(f"{len(_sample_array)} sample areas for {len(self.samples)} samples")
+        object.__setattr__(self, "_ordered", np.sort(_sample_array))
 
 
 @dataclass(frozen=True)
@@ -417,16 +416,16 @@ class _PoolDraws:
         self.flat = np.concatenate(per_problem)
         self.problem_words = m if self.n_problems > 1 else 0
         self.n_blocks = -(-(self.problem_words + m) // 8)
-        self.every_draw_consumes = bool(self.lens.min() > 1)
-        self.same_count = int(self.lens[0]) if self.every_draw_consumes and (
+        self.same_count = int(self.lens[0]) if self.lens.min() > 1 and (
             self.lens == self.lens[0]).all() else 0
         # numpy rejects a word when (u * n) mod 2**32 < (2**32 - n) mod n; one
         # bound, the largest of the pool's thresholds, flags every rejection
         counts = np.append(self.lens, np.uint64(self.n_problems))
         self.bound = np.uint32(((np.uint64(1 << 32) - counts) % counts).max())
-        # a same-count pool's draw counts, the problem draws' first
-        self.multipliers = np.array(
-            [self.n_problems] * self.problem_words + [self.same_count] * m, dtype=np.uint64)
+        if self.same_count:
+            # each draw's count, the problem draws' first
+            self.multipliers = np.array(
+                [self.n_problems] * self.problem_words + [self.same_count] * m, dtype=np.uint64)
 
     def fill(self, words: np.ndarray, area: np.ndarray) -> np.ndarray:
         """Write each row's sample area into ``area``; return the rows that
@@ -453,22 +452,16 @@ class _PoolDraws:
             problem_flagged = scaled.astype(np.uint32) < self.bound
             drawn = (scaled >> _SHIFT32).view(np.int64)
             n_planners = self.lens[drawn]
-            if self.every_draw_consumes:
-                planner_words = words[:, first : first + m]
-            else:
-                # a draw's word follows the problem words and the consuming draws before it
-                consumes = n_planners > 1
-                position = np.cumsum(consumes, axis=1) - consumes
-                planner_words = np.take_along_axis(words, first + position, axis=1)
-            scaled = planner_words * n_planners
+            # a draw's word follows the problem words and the consuming draws before it
+            consumes = n_planners > 1
+            position = np.cumsum(consumes, axis=1) - consumes
+            scaled = np.take_along_axis(words, first + position, axis=1) * n_planners
             flagged = problem_flagged | (scaled.astype(np.uint32) < self.bound)
             planner = (scaled >> _SHIFT32).view(np.int64)
             values = self.flat[self.starts[drawn] + planner]
         area[:] = 0.0
         for column in values.T:  # not np.sum: its pairwise order rounds differently
             area += column
-        if not flagged.any():  # the usual case, and cheaper to see than per row
-            return np.empty(0, dtype=np.intp)
         return np.flatnonzero(flagged.any(axis=1))
 
 
@@ -532,7 +525,7 @@ def bootstrap_distributions(
             m=m,
             cutoff_ms=cutoff_ms,
             seed=seed,
-            sample_array=areas,
+            _sample_array=areas,
         )
         for kind, areas in zip(filled, samples)
     }

@@ -270,7 +270,7 @@ class TestSharedWordBlock:
         # single-planner problems: problem draws, no planner word
         "one-planner": [np.array([float(k) * 11 + 0.5]) for k in range(6)],
         "mixed": [np.array([1.5, 9.0]), np.array([4.0]), np.array([2.0, 7.25, 3.0, 8.0])],
-        # every problem has two or more planners: the planner words are one slice
+        # every problem has two or more planners, in differing counts
         "all-consuming": [np.array([0.5, 6.0, 2.5]), np.array([3.0, 1e6 / 3]),
                           np.array([8.0, 4.5, 7.0, 0.125]), np.array([5.0, 9.5])],
         # every problem has three planners: the draws use the scalar count
@@ -494,6 +494,8 @@ class TestClassify:
         assert dist._ordered.tolist() == sorted(dist.samples)
         assert make_dist(dist.samples, m=3)._ordered.tolist() == dist._ordered.tolist()
         assert dataclasses.replace(dist, samples=(5.0, 4.0))._ordered.tolist() == [4.0, 5.0]
+        with pytest.raises(ValueError, match="49 sample areas for 50 samples"):
+            dataclasses.replace(dist, _sample_array=np.array(dist.samples[1:]))
 
 
 class TestSubjectArea:
