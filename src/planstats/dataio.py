@@ -154,18 +154,19 @@ class ProblemSet:
 class Manifest:
     """Declares the planners and problem sets a dataset may reference.
 
+    Planner names, (domain, level, size class) sets and each (domain,
+    level)'s problems are unique: a repeat raises the error
+    :func:`parse_manifest` reports for it, however the manifest is built.
     Each (level, size class) grid's columns are the problems of its sets,
     in set and problem order.  Laid side by side, grids in the order of
     their first set, every column has a code; ``_by_problem`` gives each
     (domain, level, problem) the code of its column, and ``_layouts`` each
     grid's codes ``range(start, stop)`` and each domain's columns in it.
-    A problem declared twice, which only a hand-built manifest can do, has
-    the code of its first declaration: its records sit in that column only.
     """
 
     planners: tuple[PlannerEntry, ...]
     problem_sets: tuple[ProblemSet, ...]
-    # lookup indexes; where a name or problem repeats, the first entry wins
+    # lookup indexes
     _by_name: dict[str, PlannerEntry] = field(init=False, repr=False, compare=False)
     _by_problem: dict[tuple[str, Level, str], int] = field(init=False, repr=False, compare=False)
     # the problem set of each column code
@@ -177,10 +178,12 @@ class Manifest:
     def __post_init__(self) -> None:
         by_name: dict[str, PlannerEntry] = {}
         for p in self.planners:
-            by_name.setdefault(p.name, p)
-        members: dict[tuple[Level, SizeClass], list[int]] = {}
+            if p.name in by_name:
+                raise ParseError(f"duplicate planner name {p.name!r}")
+            by_name[p.name] = p
+        members = {(s.level, s.size_class): [] for s in self.problem_sets}
         for k, s in enumerate(self.problem_sets):
-            members.setdefault((s.level, s.size_class), []).append(k)
+            members[s.level, s.size_class].append(k)
         starts = [0] * len(self.problem_sets)
         column_sets: list[ProblemSet] = []
         layouts = {}
@@ -193,10 +196,18 @@ class Manifest:
                 column_sets += [s] * len(s.problems)
                 spans[s.domain] = slice(starts[k] - start, len(column_sets) - start)
             layouts[key] = (start, len(column_sets), spans)
+        # checked in set order, as parse_manifest reads the sets
+        cells: set[tuple[str, Level, SizeClass]] = set()
         by_problem: dict[tuple[str, Level, str], int] = {}
         for s, start in zip(self.problem_sets, starts):
+            where = f"{s.domain}/{s.level.value}"
+            if (s.domain, s.level, s.size_class) in cells:
+                raise ParseError(f"duplicate problem set for {where}/{s.size_class.value}")
+            cells.add((s.domain, s.level, s.size_class))
             for code, problem in enumerate(s.problems, start):
-                by_problem.setdefault((s.domain, s.level, problem), code)
+                if (s.domain, s.level, problem) in by_problem:
+                    raise DuplicateProblem(f"duplicate problem {problem!r} in {where}")
+                by_problem[s.domain, s.level, problem] = code
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_by_problem", by_problem)
         object.__setattr__(self, "_column_sets", tuple(column_sets))
@@ -282,8 +293,9 @@ class RunTable(Sequence[RunRecord]):
     Each record is placed once per manifest (:meth:`codes`) and numbered
     once by its planner (:meth:`planner_ids`); a grid selects its cells
     and rows from those numbers.  A record object is built only when one
-    is asked for, by indexing or iterating.  Where a key repeats, the last
-    record with it wins.
+    is asked for, by indexing or iterating.  No two records share a
+    (planner, domain, level, problem) key: the loader and :meth:`of`
+    refuse a repeat.
     """
 
     def __init__(self, columns: Sequence[Sequence]):
@@ -300,10 +312,21 @@ class RunTable(Sequence[RunRecord]):
 
     @classmethod
     def of(cls, runs: Sequence[RunRecord]) -> "RunTable":
-        """``runs`` itself if it is a table, else a table over it."""
+        """``runs`` itself if it is a table, else a table over it.
+
+        Raises:
+            DuplicateKey: if a record's key repeats, citing the 1-based
+                position of its second record.
+        """
         if isinstance(runs, RunTable):
             return runs
-        return cls([[getattr(r, name) for r in runs] for name in RUNS_HEADER])
+        columns = [[getattr(r, name) for r in runs] for name in RUNS_HEADER]
+        seen: set[tuple] = set()
+        for row, key in enumerate(zip(*columns[:4]), start=1):
+            if key in seen:
+                raise DuplicateKey(row, key)
+            seen.add(key)
+        return cls(columns)
 
     def __len__(self) -> int:
         return len(self.columns["planner"])
@@ -370,8 +393,7 @@ class RunTable(Sequence[RunRecord]):
         row_of = np.array([rows.get(name, -1) for name in planners], dtype=np.intp)
         cell_rows = row_of[ids[at]]
         index = np.full((len(names), stop - start), -1, dtype=np.intp)
-        # where a key repeats, the last record, the highest table row, wins
-        np.maximum.at(index, (cell_rows, codes[at] - start), at)
+        index[cell_rows, codes[at] - start] = at
         maximize = [s.quality_direction is QualityDirection.MAXIMIZE
                     for s in manifest._column_sets[start:stop]]
         # index -1 reads the arrays' trailing entry: unsolved, no values
@@ -566,10 +588,6 @@ def runs_from_bytes(data: bytes) -> RunTable:
     return _parse_runs(text)
 
 
-def read_runs(fh: io.TextIOBase) -> RunTable:
-    return _parse_runs(fh.read())
-
-
 def _parse_runs(text: str) -> RunTable:
     columns = _columns(text)
     if columns is not None:
@@ -622,8 +640,9 @@ def manifest_from_bytes(data: bytes) -> Manifest:
     a file opened in text mode reads them.
 
     Raises:
-        ParseError: on malformed JSON, text that is not UTF-8, or
-            missing/ill-typed structure.
+        ParseError: on malformed JSON, text that is not UTF-8,
+            missing/ill-typed structure, or a repeated planner name or
+            (domain, level, size class) set.
         UnknownLevel: on an unrecognized level name.
         EmptyProblemList: if a problem set has no problems.
         DuplicateProblem: if a problem id repeats within a (domain, level).
@@ -653,7 +672,6 @@ def parse_manifest(doc: object) -> Manifest:
         raise ParseError("'planners' and 'problem_sets' must be lists")
 
     planners = []
-    seen_names = set()
     for entry in planners_raw:
         try:
             name = _text(entry["name"], "planner name")
@@ -664,14 +682,9 @@ def parse_manifest(doc: object) -> Manifest:
         if not isinstance(level_names, list):
             raise ParseError(f"levels of planner {name!r} must be a list, got {level_names!r}")
         levels = frozenset(Level.parse(_text(lv, "level")) for lv in level_names)
-        if name in seen_names:
-            raise ParseError(f"duplicate planner name {name!r}")
-        seen_names.add(name)
         planners.append(PlannerEntry(name=name, category=category, levels_entered=levels))
 
     sets = []
-    problems_by_cell: dict[tuple[str, Level], set[str]] = {}
-    seen_cells: set[tuple[str, Level, SizeClass]] = set()
     for entry in sets_raw:
         try:
             domain = _text(entry["domain"], "domain")
@@ -686,17 +699,6 @@ def parse_manifest(doc: object) -> Manifest:
             raise ParseError(f"problems must be a list of strings in set {domain}/{level.value}")
         if not problems:
             raise EmptyProblemList(f"problem set {domain}/{level.value} has no problems")
-        cell_key = (domain, level, size_class)
-        if cell_key in seen_cells:
-            raise ParseError(
-                f"duplicate problem set for {domain}/{level.value}/{size_class.value}"
-            )
-        seen_cells.add(cell_key)
-        cell = problems_by_cell.setdefault((domain, level), set())
-        for p in problems:
-            if p in cell:
-                raise DuplicateProblem(f"duplicate problem {p!r} in {domain}/{level.value}")
-            cell.add(p)
         sets.append(
             ProblemSet(
                 domain=domain,
@@ -728,8 +730,7 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
     checked once per distinct (planner, level) pair and problems on the
     records' codes; only when a check fails are the records walked one by
     one, to report each error in record order.  Coverage is counted on the
-    codes too: the last record of each (planner, column), tallied per
-    (planner, grid), so no grid is laid out.
+    codes too, tallied per (planner, grid), so no grid is laid out.
     """
     runs = RunTable.of(runs)
     diagnostics: list[Diagnostic] = []
@@ -770,21 +771,17 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
                     )
                 )
 
-    # the last record of each (planner, column) the manifest declares
+    # each (planner, grid)'s attempted and solved columns, counted on the codes
     names, ids = runs.planner_ids()
     known = np.flatnonzero(codes >= 0)
-    keys = ids[known] * len(manifest._column_sets) + codes[known]
-    _, first = np.unique(keys[::-1], return_index=True)
-    last = known[len(known) - 1 - first]
-    # each (planner, grid)'s attempted and solved columns, counted on the codes
     grid_of = np.empty(len(manifest._column_sets), dtype=np.intp)
     for g, (start, stop, _) in enumerate(manifest._layouts.values()):
         grid_of[start:stop] = g
-    cells = ids[last] * len(manifest._layouts) + grid_of[codes[last]]
-    last_solved = np.fromiter(runs.columns["solved"], dtype=bool, count=len(runs))[last]
+    cells = ids[known] * len(manifest._layouts) + grid_of[codes[known]]
+    known_solved = np.fromiter(runs.columns["solved"], dtype=bool, count=len(runs))[known]
     shape = (len(names), len(manifest._layouts))
     attempted = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape).tolist()
-    solved = np.bincount(cells[last_solved], minlength=shape[0] * shape[1]).reshape(shape).tolist()
+    solved = np.bincount(cells[known_solved], minlength=shape[0] * shape[1]).reshape(shape).tolist()
     rows = {name: r for r, name in enumerate(names)}
     for entry in manifest.planners:
         row = rows.get(entry.name)

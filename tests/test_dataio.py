@@ -30,19 +30,17 @@ from planstats.dataio import (
     load_manifest,
     load_runs,
     parse_manifest,
-    read_runs,
+    runs_from_bytes,
     save_runs,
     validate_dataset,
 )
-
-from test_run_grid import reference_validate
 
 ROOT = Path(__file__).resolve().parent.parent
 HEADER = "planner,domain,level,problem,solved,time_ms,metric_value,seq_length,conc_length"
 
 
 def load_text(text):
-    return read_runs(io.StringIO(text))
+    return runs_from_bytes(text.encode("utf-8"))
 
 
 def test_header_is_record_fields_in_file_order():
@@ -431,36 +429,55 @@ class TestColumnPath:
         assert exc.value.reason == "expected 9 fields, got 8"
 
 
-def test_repeated_planner_entry_coverage_equals_per_key_scan():
-    """A hand-built manifest may declare a planner twice; each entry gets
-    its own coverage line, counted on the planner's records of the grids
-    that entry faces, and a repeated record key counts once."""
-    strips, numeric = Level.STRIPS, Level.NUMERIC
-    minimize = QualityDirection.MINIMIZE
-    manifest = Manifest(
-        planners=(
-            PlannerEntry("a", Category.FULLY_AUTOMATED, frozenset({strips})),
-            PlannerEntry("b", Category.FULLY_AUTOMATED, frozenset({strips, numeric})),
-            PlannerEntry("a", Category.HAND_CODED, frozenset({strips, numeric})),
+def hand_built(doc):
+    """The manifest of a document, built from its entries without
+    parse_manifest."""
+    return Manifest(
+        planners=tuple(
+            PlannerEntry(p["name"], Category(p["category"]), frozenset(map(Level.parse, p["levels"])))
+            for p in doc["planners"]
         ),
-        problem_sets=(
-            ProblemSet("d", strips, SizeClass.SMALL, minimize, ("p1", "p2", "p3")),
-            ProblemSet("d", strips, SizeClass.LARGE, minimize, ("L1", "L2")),
-            ProblemSet("d", numeric, SizeClass.SMALL, minimize, ("p1", "p2")),
+        problem_sets=tuple(
+            ProblemSet(s["domain"], Level.parse(s["level"]), SizeClass(s["size_class"]),
+                       QualityDirection(s["quality_direction"]), tuple(s["problems"]))
+            for s in doc["problem_sets"]
         ),
     )
-    runs = [
-        RunRecord("a", "d", strips, "p1", True, 5),
-        RunRecord("a", "d", strips, "L1", True, 9),
-        RunRecord("a", "d", strips, "L2", False),
-        RunRecord("a", "d", numeric, "p2", True, 4),
-        RunRecord("b", "d", numeric, "p1", True, 2),
-        RunRecord("a", "d", strips, "p1", False),
-    ]
-    diagnostics = validate_dataset(runs, manifest)
-    assert diagnostics == reference_validate(runs, manifest)
-    assert [d.message for d in diagnostics if d.kind == "Coverage"] == [
-        "planner a attempted 1 and solved 0 of 3 available problems",
-        "planner b attempted 1 and solved 1 of 5 available problems",
-        "planner a attempted 4 and solved 2 of 7 available problems",
-    ]
+
+
+A = {"name": "a", "category": "fully-automated", "levels": ["strips"]}
+
+
+@pytest.mark.parametrize("planners, sets, error, message", [
+    pytest.param([A, {**A, "category": "hand-coded"}], [pset("d", "strips", 2)],
+                 ParseError, "duplicate planner name 'a'", id="planner"),
+    # the second set's problems are new: only the (domain, level, size
+    # class) repeats, so both sets would claim the domain's columns
+    pytest.param([A], [pset("d", "strips", 2), pset("d", "strips", 2, prefix="q")],
+                 ParseError, "duplicate problem set for d/strips/small", id="set"),
+    pytest.param([A], [pset("d", "strips", 2), pset("d", "strips", 1, size="large")],
+                 DuplicateProblem, "duplicate problem 'p01' in d/strips", id="problem"),
+])
+def test_hand_built_manifest_refuses_a_repeat(planners, sets, error, message):
+    """Every manifest holds the key rule: building one by hand raises what
+    the loader raises for the same document."""
+    doc = {"planners": planners, "problem_sets": sets}
+    with pytest.raises(error) as parsed:
+        parse_manifest(doc)
+    with pytest.raises(error) as built:
+        hand_built(doc)
+    assert str(built.value) == str(parsed.value) == message
+
+
+def test_table_of_a_list_refuses_a_repeated_key():
+    runs = [run("a", "d", "strips", "p01", 5), run("b", "d", "strips", "p01", 6),
+            run("a", "d", "strips", "p02"), run("a", "d", "strips", "p01")]
+    with pytest.raises(DuplicateKey) as exc:
+        RunTable.of(runs)
+    assert exc.value.row == 4
+    assert exc.value.key == ("a", "d", Level.STRIPS, "p01")
+    assert str(exc.value) == "row 4: duplicate record key ('a', 'd', <Level.STRIPS: 'strips'>, 'p01')"
+    # a loaded table passed the loader's check: it is used as it is
+    loaded = load_text(f"{HEADER}\na,d,strips,p01,1,5,,,\nb,d,strips,p01,1,6,,,\n")
+    assert RunTable.of(loaded) is loaded
+    assert list(RunTable.of(runs[:3])) == runs[:3]

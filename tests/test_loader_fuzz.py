@@ -22,7 +22,7 @@ from planstats.dataio import (
     MissingHeader,
     RunRecord,
     UnknownLevel,
-    read_runs,
+    runs_from_bytes,
 )
 
 
@@ -176,5 +176,5 @@ def mutated_csv(draw):
 @given(mutated_csv())
 def test_loader_fails_like_the_row_by_row_parse(text):
     expected = loaded(reference_read, text)
-    got = loaded(lambda t: read_runs(io.StringIO(t, newline="")), text)
+    got = loaded(lambda t: runs_from_bytes(t.encode("utf-8")), text)
     assert got == expected

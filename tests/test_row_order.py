@@ -2,7 +2,6 @@
 changes no analysis result."""
 
 import functools
-import io
 import itertools
 import json
 from pathlib import Path
@@ -12,7 +11,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from planstats.agreement import agreement_table, judge_ranks
-from planstats.dataio import Category, Level, load_manifest, parse_manifest, read_runs
+from planstats.dataio import Category, Level, load_manifest, parse_manifest, runs_from_bytes
 from planstats.hardness import hardness_table
 from planstats.pairwise import Measure, PairingMode, all_pairs, compare
 from planstats.report import series_csv
@@ -62,7 +61,7 @@ def analyses(runs, manifest=MANIFEST):
 
 
 def analyses_of(rows):
-    return analyses(read_runs(io.StringIO("".join([HEADER] + rows))))
+    return analyses(runs_from_bytes("".join([HEADER] + rows).encode("utf-8")))
 
 
 @functools.cache
@@ -82,5 +81,5 @@ def test_shuffled_rows_give_equal_results(rows):
 def test_permuted_manifest_planners_give_equal_results(order):
     doc = json.loads((SAMPLE / "manifest.json").read_text(encoding="utf-8"))
     doc["planners"] = [doc["planners"][i] for i in order]
-    runs = read_runs(io.StringIO("".join([HEADER] + ROWS)))
+    runs = runs_from_bytes("".join([HEADER] + ROWS).encode("utf-8"))
     assert analyses(runs, parse_manifest(doc)) == expected()

@@ -1,11 +1,10 @@
 """The grid-based analyses equal a per-key scan of the records.
 
 Each reference below walks the manifest's problems a record at a time and
-looks every (planner, domain, level, problem) key up in a dict where the
-last record with a key wins.  Generated datasets repeat keys, name
-planners missing from the manifest, leave quality fields out of solved
-rows, keep values on unsolved rows, mix maximize and minimize sets and use
-metric 0.0.
+looks every (planner, domain, level, problem) key up in a dict.  Generated
+datasets hold each key once, as a table requires, name planners missing
+from the manifest, leave quality fields out of solved rows, keep values on
+unsolved rows, mix maximize and minimize sets and use metric 0.0.
 """
 
 import csv
@@ -49,10 +48,7 @@ PREFIX = {"small": "p", "large": "L"}
 
 
 def index(runs):
-    by_key = {}
-    for r in runs:
-        by_key[r.key] = r
-    return by_key
+    return {r.key: r for r in runs}
 
 
 def solve_time(by_key, planner, domain, level, problem):
@@ -259,14 +255,15 @@ def manifests(draw):
 def datasets(draw):
     manifest = draw(manifests())
     codes = st.tuples(st.sampled_from(KEYS), st.integers(0, CODES - 1))
-    records = [record(*drawn) for drawn in draw(st.lists(codes, min_size=20, max_size=100))]
+    drawn = draw(st.lists(codes, min_size=20, max_size=100, unique_by=lambda c: c[0]))
+    records = [record(*c) for c in drawn]
     return records, manifest
 
 
 @st.composite
 def clean_datasets(draw):
     """Records only on problems the manifest declares, each by a planner at
-    a level it entered; keys may still repeat."""
+    a level it entered."""
     manifest = draw(manifests())
     keys = [
         (entry.name, ps.domain, ps.level, problem)
@@ -278,7 +275,8 @@ def clean_datasets(draw):
     if not keys:
         return [], manifest
     codes = st.tuples(st.sampled_from(keys), st.integers(0, CODES - 1))
-    return [record(*drawn) for drawn in draw(st.lists(codes, max_size=100))], manifest
+    drawn = draw(st.lists(codes, max_size=100, unique_by=lambda c: c[0]))
+    return [record(*c) for c in drawn], manifest
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,16 +365,6 @@ def test_grid_follows_the_manifest_it_is_asked_for():
     assert first.index.tolist() == [[-1, 0]]
     assert second.index.tolist() == [[0]]
     assert second.values["time_ms"].tolist() == [[7.0]]
-
-
-def test_problem_declared_twice_sits_in_the_column_resolve_names():
-    small = ProblemSet("d", Level.STRIPS, SizeClass.SMALL, QualityDirection.MINIMIZE, ("p1", "p2"))
-    large = ProblemSet("d", Level.STRIPS, SizeClass.LARGE, QualityDirection.MINIMIZE, ("p2",))
-    manifest = Manifest(planners=(), problem_sets=(small, large))
-    runs = RunTable.of([RunRecord("a", "d", Level.STRIPS, "p2", True, 7)])
-    assert manifest.resolve("d", Level.STRIPS, "p2") is small
-    assert runs.grid(manifest, Level.STRIPS, SizeClass.SMALL).index.tolist() == [[-1, 0]]
-    assert runs.grid(manifest, Level.STRIPS, SizeClass.LARGE).index.tolist() == [[-1]]
 
 
 def test_grid_arrays_are_read_only():
