@@ -29,6 +29,10 @@ class TooFewJudges(ValueError):
     """Fewer than two eligible judges at the cell."""
 
 
+class TooFewProblems(ValueError):
+    """Fewer than two problems at the cell: nothing to rank."""
+
+
 @dataclass(frozen=True)
 class AgreementResult:
     domain: str
@@ -100,6 +104,8 @@ def _eligible_judges(
     if domain not in grid.spans:
         raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
     span = grid.spans[domain]
+    if span.stop - span.start < 2:
+        raise TooFewProblems(f"{domain}/{level.value}/{size_class.value}: fewer than two problems")
     attempted = grid.present[:, span].sum(axis=1).tolist()
     judges, excluded = [], []
     for entry in manifest.planners_in(category, level):
@@ -128,6 +134,7 @@ def agreement_test(
     that attempted fewer than half the problems are excluded and noted.
 
     Raises:
+        TooFewProblems: with fewer than two problems.
         TooFewJudges: with fewer than two eligible judges.
     """
     runs = RunTable.of(runs)
@@ -159,7 +166,7 @@ def agreement_table(
 ) -> list[AgreementResult]:
     """Agreement results for every populated cell of a category.
 
-    Cells without two eligible judges are skipped.
+    Cells without two eligible judges or two problems are skipped.
     """
     runs = RunTable.of(runs)
     results = []
@@ -170,6 +177,6 @@ def agreement_table(
             results.append(
                 agreement_test(runs, manifest, ps.domain, ps.level, ps.size_class, category, alpha)
             )
-        except TooFewJudges:
+        except (TooFewJudges, TooFewProblems):
             continue
     return results

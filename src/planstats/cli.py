@@ -6,8 +6,9 @@ tables/graphs into the ``--out`` directory with an embedded metadata
 header, and echoes the main table to stdout.
 
 Each command takes the session flags (``SESSION_FLAGS``: --runs,
---manifest, --config, --seed, --out) and the flags ``COMMAND_FLAGS``
-lists for it, the ones it reads; argparse refuses any other flag with exit 2.
+--manifest, --config, --seed, --out) and the flags it reads, which
+``COMMANDS`` lists beside its function and help; argparse refuses any
+other flag with exit 2.
 
 A command runs in two steps: :func:`open_session` makes the config of the
 session flags and loads, validates and hashes the inputs once, and
@@ -102,20 +103,6 @@ _FLAGS = {
 }
 # the flags open_session reads, and --out; every command takes them
 SESSION_FLAGS = ("--runs", "--manifest", "--config", "--seed", "--out")
-# command -> (help, the flags it reads beyond the session flags); --strict
-# only where a degenerate statistic can arise (paired t, MRC F)
-COMMAND_FLAGS = {
-    "validate": ("check dataset consistency", ()),
-    "compare": ("pairwise consistency and magnitude tables",
-                ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--strict")),
-    "order": ("partial-order DOT graphs",
-              ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--reduce")),
-    "hardness": ("bootstrap easy/hard tables", ("--category", "--level", "--size")),
-    "agreement": ("multi-judge agreement grid",
-                  ("--category", "--level", "--size", "--alpha", "--strict")),
-    "scaling": ("relative scaling matrices", ("--category", "--level", "--size", "--alpha")),
-    "series": ("per-problem value series CSV", ("--domain", "--level", "--size", "--measure")),
-}
 # (command, flag) -> keywords that replace the flag's own for that command
 _FLAG_OVERRIDES = {("series", "--level"): dict(required=True, help="level of the series cell")}
 
@@ -123,13 +110,13 @@ _FLAG_OVERRIDES = {("series", "--level"): dict(required=True, help="level of the
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser: each subcommand takes the session flags and its
-    own flags from ``COMMAND_FLAGS``, and argparse refuses any other (exit 2)."""
+    own flags from ``COMMANDS``, and argparse refuses any other (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="planstats",
         description="Statistical comparison toolkit for planner competition run data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in COMMAND_FLAGS.items():
+    for command, (_, help_text, flags) in COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
         for flag in SESSION_FLAGS + flags:
             command_parser.add_argument(
@@ -203,7 +190,7 @@ def _sizes_for(args, category: Category) -> tuple[SizeClass, ...]:
 
 def _pair_names(manifest: Manifest, category: Category, level: Level, cross: bool) -> list[str]:
     if cross:
-        return sorted(p.name for p in manifest.planners if level in p.levels_entered)
+        return sorted(p.name for p in manifest.planners if manifest.entered(p.name, level))
     return [p.name for p in manifest.planners_in(category, level)]
 
 
@@ -385,14 +372,21 @@ def cmd_series(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "compare": cmd_compare,
-    "order": cmd_order,
-    "hardness": cmd_hardness,
-    "agreement": cmd_agreement,
-    "scaling": cmd_scaling,
-    "series": cmd_series,
+# command -> (function, help, the flags it reads beyond the session flags);
+# --strict only where a degenerate statistic can arise (paired t, MRC F)
+COMMANDS = {
+    "validate": (cmd_validate, "check dataset consistency", ()),
+    "compare": (cmd_compare, "pairwise consistency and magnitude tables",
+                ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--strict")),
+    "order": (cmd_order, "partial-order DOT graphs",
+              ("--category", "--level", "--size", "--measure", "--cross", "--alpha", "--reduce")),
+    "hardness": (cmd_hardness, "bootstrap easy/hard tables", ("--category", "--level", "--size")),
+    "agreement": (cmd_agreement, "multi-judge agreement grid",
+                  ("--category", "--level", "--size", "--alpha", "--strict")),
+    "scaling": (cmd_scaling, "relative scaling matrices",
+                ("--category", "--level", "--size", "--alpha")),
+    "series": (cmd_series, "per-problem value series CSV",
+               ("--domain", "--level", "--size", "--measure")),
 }
 
 
@@ -442,7 +436,7 @@ def run_command(session: Session, args: argparse.Namespace) -> int:
         return 2
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = _COMMANDS[args.command](args, *session)
+        rc = COMMANDS[args.command][0](args, *session)
     degenerate = [w for w in caught if issubclass(w.category, DegenerateStatisticWarning)]
     if degenerate:
         print(f"note: {len(degenerate)} degenerate statistic(s) encountered", file=sys.stderr)

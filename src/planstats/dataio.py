@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,6 +215,12 @@ class Manifest:
 
     def planner(self, name: str) -> PlannerEntry | None:
         return self._by_name.get(name)
+
+    def entered(self, name: str, level: Level) -> bool:
+        """Whether planner ``name`` entered ``level``; False for an
+        undeclared name."""
+        entry = self._by_name.get(name)
+        return entry is not None and level in entry.levels_entered
 
     def planners_in(self, category: Category, level: Level) -> list[PlannerEntry]:
         """The category's planners that entered ``level``, in name order."""
@@ -608,27 +614,6 @@ def _parse_runs(text: str) -> RunTable:
     return RunTable(_columns_by_row([f for _, f in numbered], [row for row, _ in numbered]))
 
 
-def save_runs(records: Iterable[RunRecord], path: str | Path) -> None:
-    """Write records in the runs CSV format (inverse of :func:`load_runs`)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUNS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.planner,
-                    r.domain,
-                    r.level.value,
-                    r.problem,
-                    "1" if r.solved else "0",
-                    "" if r.time_ms is None else str(r.time_ms),
-                    "" if r.metric_value is None else repr(r.metric_value),
-                    "" if r.seq_length is None else str(r.seq_length),
-                    "" if r.conc_length is None else str(r.conc_length),
-                ]
-            )
-
-
 def load_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest JSON document: :func:`manifest_from_bytes`
     of its bytes."""
@@ -735,15 +720,13 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
     runs = RunTable.of(runs)
     diagnostics: list[Diagnostic] = []
     codes = runs.codes(manifest)
-    entries = ((manifest.planner(name), level) for name, level in runs.planner_levels())
-    entered = all(entry is not None and level in entry.levels_entered for entry, level in entries)
+    entered = all(manifest.entered(name, level) for name, level in runs.planner_levels())
     if not entered or codes.min(initial=0) < 0:
         # walk the records to report each error in record order
         keys = zip(*(runs.columns[name] for name in RUNS_HEADER[:4]))
         for key, code in zip(keys, codes.tolist()):
             planner, _, level, _ = key
-            entry = manifest.planner(planner)
-            if entry is None:
+            if manifest.planner(planner) is None:
                 diagnostics.append(
                     Diagnostic(
                         "UnknownPlanner",
@@ -761,7 +744,7 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
                         f"record {key} references a problem not in any problem set",
                     )
                 )
-            if level not in entry.levels_entered:
+            if not manifest.entered(planner, level):
                 diagnostics.append(
                     Diagnostic(
                         "LevelNotEntered",

@@ -59,9 +59,6 @@ class PartialOrder:
     edges: tuple[Edge, ...]
     annotations: tuple[str, ...]
 
-    def solid_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.kind is EdgeKind.SOLID]
-
 
 def build_order(comparisons: Sequence[ComparisonResult], alpha: float = DEFAULT_ALPHA) -> PartialOrder:
     """Construct the partial order implied by a set of comparison results.

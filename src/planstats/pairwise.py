@@ -124,8 +124,7 @@ class MagnitudeResult:
 
 
 def _check_entered(manifest: Manifest, name: str, level: Level) -> None:
-    entry = manifest.planner(name)
-    if entry is None or level not in entry.levels_entered:
+    if not manifest.entered(name, level):
         raise PlannerNotInLevel(f"planner {name!r} did not enter level {level.value}")
 
 

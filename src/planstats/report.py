@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import agreement, hardness, ordering, scaling
 from .agreement import AgreementResult
 from .dataio import (
     Level,
@@ -38,19 +39,19 @@ class UnknownCell(ValueError):
 class ReportConfig:
     """Analysis parameters shared by every command.
 
-    Defaults: pairwise orderings at 0.001 (supporting transitive claims
-    at 0.05 over 15 comparisons), individual magnitude/agreement/scaling
-    tests at 0.05, bootstrap of 10000 samples of 20 values with a
-    thirty-minute cutoff.
+    Each default is the analysis module's own (``ordering``, ``agreement``,
+    ``scaling`` and ``hardness``), except the magnitude tests' alpha,
+    which no module holds, and the seed, which is 3 for the CLI and 0 for
+    the library functions.
     """
 
-    alpha_pairwise: float = 0.001
+    alpha_pairwise: float = ordering.DEFAULT_ALPHA
     alpha_magnitude: float = 0.05
-    alpha_agreement: float = 0.05
-    alpha_scaling: float = 0.05
-    bootstrap_B: int = 10_000
-    bootstrap_m: int = 20
-    cutoff_ms: int = 1_800_000
+    alpha_agreement: float = agreement.DEFAULT_ALPHA
+    alpha_scaling: float = scaling.DEFAULT_ALPHA
+    bootstrap_B: int = hardness.DEFAULT_B
+    bootstrap_m: int = hardness.DEFAULT_M
+    cutoff_ms: int = hardness.DEFAULT_CUTOFF_MS
     seed: int = 3
 
     def validate(self) -> None:

@@ -176,14 +176,7 @@ def scaling_comparisons(
     results: list[ScalingResult | None] = []
     tested = []
     for a, b in pairs:
-        entry_a = manifest.planner(a)
-        entry_b = manifest.planner(b)
-        if (
-            entry_a is None
-            or entry_b is None
-            or level not in entry_a.levels_entered
-            or level not in entry_b.levels_entered
-        ):
+        if not (manifest.entered(a, level) and manifest.entered(b, level)):
             reason, domains = IncomparableReason.NO_SHARED_TRACK, ()
         else:
             domains = tuple(eligible_domains(hardness.get(a, {}), hardness.get(b, {})))

@@ -224,12 +224,12 @@ def test_planted_order_recovery():
         for mode in (ALO, DH)
     ]
     order = build_order(comparisons, alpha=0.001)
-    solid = {(e.src, e.dst) for e in order.solid_edges()}
-    assert solid == {
+    solid = [e for e in order.edges if e.kind is EdgeKind.SOLID]
+    assert {(e.src, e.dst) for e in solid} == {
         ("p1", "p2"), ("p1", "p3"), ("p1", "p4"),
         ("p2", "p3"), ("p2", "p4"), ("p3", "p4"),
     }
-    for e in order.solid_edges():
+    for e in solid:
         assert e.n == 120
         assert e.p <= 0.001
 

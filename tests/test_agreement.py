@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pset, run, simple_manifest
+from planstats import cli
 from planstats.agreement import (
     TooFewJudges,
+    TooFewProblems,
     agreement_table,
     agreement_test,
     judge_rank_rows,
@@ -127,6 +130,25 @@ class TestAgreementTest:
         runs, manifest = cell_dataset({"a": [10, 20], "b": ["skip", "skip"]})
         with pytest.raises(TooFewJudges):
             agreement_test(runs, manifest, "d", Level.STRIPS)
+
+    def test_one_problem_cell_is_refused_and_skipped(self, tmp_path):
+        runs, manifest = cell_dataset({"a": [10], "b": [12]})
+        with pytest.raises(TooFewProblems):
+            agreement_test(runs, manifest, "d", Level.STRIPS)
+        assert agreement_table(runs, manifest, AUTO) == []
+        (tmp_path / "runs.csv").write_text(
+            "planner,domain,level,problem,solved,time_ms,metric_value,seq_length,conc_length\n"
+            "a,d,strips,p01,1,10,,,\nb,d,strips,p01,1,12,,,\n"
+        )
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "planners": [{"name": name, "category": "fully-automated", "levels": ["strips"]}
+                         for name in ("a", "b")],
+            "problem_sets": [pset("d", "strips", 1)],
+        }))
+        args = ["--runs", str(tmp_path / "runs.csv"), "--manifest",
+                str(tmp_path / "manifest.json"), "--out", str(tmp_path)]
+        assert cli.main(["validate", *args]) == 0
+        assert cli.main(["agreement", *args]) == 0
 
     def test_relabeling_problems_invariant(self):
         times = {"a": [10, 40, 20, 30], "b": [15, 35, 25, 28], "c": [40, 10, 35, 12]}

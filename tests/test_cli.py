@@ -76,7 +76,7 @@ class TestValidateCommand:
         assert capsys.readouterr().err.startswith("input error: ")
 
     def test_checks_each_planner_and_level_once_not_each_record(self, tmp_path, monkeypatch):
-        calls = {"planner": 0, "resolve": 0}
+        calls = {"entered": 0, "resolve": 0}
         for name in calls:
             method = getattr(dataio.Manifest, name)
 
@@ -88,7 +88,7 @@ class TestValidateCommand:
         assert invoke("validate", *common(tmp_path)) == 0
         runs = list(dataio.load_runs(RUNS))
         assert calls["resolve"] == 0
-        assert calls["planner"] == len({(r.planner, r.level) for r in runs}) < len(runs)
+        assert calls["entered"] == len({(r.planner, r.level) for r in runs}) < len(runs)
 
 
 class TestColumnarPath:

@@ -1,0 +1,89 @@
+"""No dead code in the library, and README's Library example imports only
+what the package exports.
+
+A public top-level function or class of ``src/planstats/`` must be
+exported by ``planstats/__init__.py``, wrapped by the benchmark's layer
+tracer (``perfbench/layertrace.py``'s WRAPPED), or referred to by name
+somewhere in ``src/``, ``scripts/`` or ``perfbench/``.  The modules are
+read with ``ast``; nothing is imported.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "planstats"
+# module.name -> why it stays with none of the three uses
+KEPT = {
+    "hardness.percentile_of": "README documents it as a one-row call",
+    "pairwise.pair_difference": "the scalar reference that "
+    "test_compare_pairs_matches_per_pair_composition checks compare_pairs against",
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def exported() -> set[str]:
+    """The names ``planstats/__init__.py`` imports."""
+    return {alias.asname or alias.name for node in ast.walk(_tree(PACKAGE / "__init__.py"))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def wrapped() -> set[str]:
+    """module.name of every function the layer tracer wraps."""
+    for node in _tree(ROOT / "perfbench" / "layertrace.py").body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
+            table = ast.literal_eval(node.value)
+            return {f"{layer}.{name}" for layer, names in table.items() for name in names}
+    raise AssertionError("perfbench/layertrace.py defines no WRAPPED")
+
+
+def referenced() -> set[str]:
+    """Every name code in src/, scripts/ and perfbench/ loads, reads as an
+    attribute or imports; a definition is not a reference."""
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    names = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused() -> set[str]:
+    """module.name of each public top-level function or class with none of
+    the three uses."""
+    used = exported() | referenced()
+    traced = wrapped()
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in _tree(path).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used
+                    and f"{path.stem}.{node.name}" not in traced):
+                out.add(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_public_definition_is_used():
+    assert unused() == set(KEPT)
+
+
+def test_readme_library_example_imports_exported_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imports = [node for node in ast.walk(ast.parse(example))
+               if isinstance(node, ast.ImportFrom) and node.module == "planstats"]
+    names = {alias.name for node in imports for alias in node.names}
+    assert names
+    assert names <= exported()

@@ -76,7 +76,7 @@ class TestBuildOrder:
             make_comparison("pa", "pc", wilcoxon_p=1e-6, favored=Favored.FIRST),
         ]
         order = build_order(comparisons, alpha=0.001)
-        solid = {(e.src, e.dst) for e in order.solid_edges()}
+        solid = {(e.src, e.dst) for e in order.edges if e.kind is EdgeKind.SOLID}
         assert solid == {("pa", "pb"), ("pb", "pc"), ("pa", "pc")}
         assert order.annotations == ()
         assert all(e.p <= 0.001 for e in order.edges)
@@ -140,7 +140,7 @@ class TestBuildOrder:
             make_comparison("C", "A", wilcoxon_p=1e-5, favored=Favored.FIRST),
         ]
         order = build_order(comparisons, alpha=0.001)
-        assert len(order.solid_edges()) == 3
+        assert sum(e.kind is EdgeKind.SOLID for e in order.edges) == 3
         assert any("intransitive" in note for note in order.annotations)
 
     def test_order_insensitive_and_idempotent(self):
@@ -239,7 +239,7 @@ class TestTransitiveReduction:
             make_comparison("A", "C", wilcoxon_p=1e-6, favored=Favored.FIRST),
         ]
         reduced = transitive_reduction(build_order(comparisons, alpha=0.001))
-        solid = {(e.src, e.dst) for e in reduced.solid_edges()}
+        solid = {(e.src, e.dst) for e in reduced.edges if e.kind is EdgeKind.SOLID}
         assert solid == {("A", "B"), ("B", "C")}
 
     def test_keeps_dotted_and_dashed(self):
@@ -252,4 +252,4 @@ class TestTransitiveReduction:
         reduced = transitive_reduction(build_order(comparisons, alpha=0.001))
         kinds = [e.kind for e in reduced.edges]
         assert EdgeKind.DOTTED in kinds
-        assert len(reduced.solid_edges()) == 2
+        assert sum(e.kind is EdgeKind.SOLID for e in reduced.edges) == 2
