@@ -6,9 +6,10 @@ The runs file is a CSV whose header is exactly the fields of
     planner,domain,level,problem,solved,time_ms,metric_value,seq_length,conc_length
 
 where ``solved`` is 0/1 and an empty string encodes an absent optional
-field.  The manifest is a JSON document declaring planners (with category
-and entered levels) and problem sets (domain, level, size class, quality
-direction, ordered problem ids).
+field; fields are stripped of surrounding blanks.  The manifest is a JSON
+document declaring planners (with category and entered levels) and problem
+sets (domain, level, size class, quality direction, ordered problem ids);
+as a record can name none that is padded, it refuses a padded name.
 
 A missing (planner, problem) row means "did not attempt"; a row with
 solved=0 means "attempted, no solution".  Downstream tests treat both as
@@ -22,8 +23,9 @@ import enum
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -327,11 +329,9 @@ class RunTable(Sequence[RunRecord]):
         if isinstance(runs, RunTable):
             return runs
         columns = [[getattr(r, name) for r in runs] for name in RUNS_HEADER]
-        seen: set[tuple] = set()
-        for row, key in enumerate(zip(*columns[:4]), start=1):
-            if key in seen:
-                raise DuplicateKey(row, key)
-            seen.add(key)
+        k = _first_repeat(columns)
+        if k is not None:
+            raise DuplicateKey(k + 1, runs[k].key)
         return cls(columns)
 
     def __len__(self) -> int:
@@ -432,135 +432,113 @@ class RunTable(Sequence[RunRecord]):
         return self._arrays
 
 
-def _parse_optional_int(raw: str, row: int, column: str) -> int | None:
-    if raw == "":
-        return None
+class _Broken(Exception):
+    """A rule broken in a column: ``args`` are the column and the reason."""
+
+
+def _numbers(column: Sequence[str], name: str, parse: type) -> list:
+    """The column parsed by ``int`` or ``float``, None where a field is
+    empty or blank; stripped only if a field fails to parse as it is."""
     try:
-        value = int(raw)
+        return [parse(value) if value else None for value in column]
     except ValueError:
-        raise BadField(row, column, f"not an integer: {raw!r}") from None
-    if value < 0:
-        raise BadField(row, column, f"must be nonnegative, got {value}")
-    return value
+        values = []
+    for value in map(str.strip, column):
+        try:
+            values.append(parse(value) if value else None)
+        except ValueError:
+            raise _Broken(name, f"not {'a number' if parse is float else 'an integer'}: "
+                                f"{value!r}") from None
+    return values
 
 
-def _parse_optional_float(raw: str, row: int, column: str) -> float | None:
-    if raw == "":
-        return None
+def _convert(columns: Sequence[Sequence[str]]) -> list[list]:
+    """The field columns of a runs CSV converted by one rule per column, in
+    column order, then checked by the rules on solved and unsolved rows.
+    Raises ``_Broken`` for the first rule a row breaks, which on a single
+    row is that row's error.  Names, levels and flags convert once per value."""
+    if len(columns) != len(RUNS_HEADER):
+        raise _Broken("<row>", f"expected {len(RUNS_HEADER)} fields, got {len(columns)}")
+    raw = dict(zip(RUNS_HEADER, columns))
+    out = {}
+    for name in ("planner", "domain", "problem"):
+        stripped = {value: value.strip() for value in set(raw[name])}
+        if "" in stripped.values():
+            raise _Broken(name, "must be non-empty")
+        out[name] = (raw[name] if list(stripped) == list(stripped.values())
+                     else list(map(stripped.__getitem__, raw[name])))
     try:
-        value = float(raw)
-    except ValueError:
-        raise BadField(row, column, f"not a number: {raw!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise BadField(row, column, "must be finite")
-    return value
-
-
-def _parse_row(fields: Sequence[str], row: int) -> tuple:
-    """Validate and convert one data row (1-based file line number ``row``)
-    into its nine values, checking fields in column order."""
-    if len(fields) != len(RUNS_HEADER):
-        raise BadField(row, "<row>", f"expected {len(RUNS_HEADER)} fields, got {len(fields)}")
-    planner, domain, level_raw, problem = (f.strip() for f in fields[:4])
-    for column, value in (("planner", planner), ("domain", domain), ("problem", problem)):
-        if not value:
-            raise BadField(row, column, "must be non-empty")
-    try:
-        level = Level.parse(level_raw)
+        levels = {value: Level.parse(value.strip()) for value in set(raw["level"])}
     except UnknownLevel as exc:
-        raise BadField(row, "level", str(exc)) from None
-    solved_raw = fields[4].strip()
-    if solved_raw not in ("0", "1"):
-        raise BadField(row, "solved", f"must be 0 or 1, got {solved_raw!r}")
-    solved = solved_raw == "1"
-    time_ms = _parse_optional_int(fields[5].strip(), row, "time_ms")
-    metric_value = _parse_optional_float(fields[6].strip(), row, "metric_value")
-    seq_length = _parse_optional_int(fields[7].strip(), row, "seq_length")
-    conc_length = _parse_optional_int(fields[8].strip(), row, "conc_length")
-    values = (time_ms, metric_value, seq_length, conc_length)
-    if solved and time_ms is None:
-        raise BadField(row, "time_ms", "required when solved=1")
-    if not solved:
-        for column, value in zip(VALUE_FIELDS, values):
-            if value is not None:
-                raise BadField(row, column, "must be empty when solved=0")
-    return (planner, domain, level, problem, solved, *values)
+        raise _Broken("level", str(exc)) from None
+    out["level"] = list(map(levels.__getitem__, raw["level"]))
+    flags = {value: value.strip() for value in set(raw["solved"])}
+    for flag in flags.values():
+        if flag not in ("0", "1"):
+            raise _Broken("solved", f"must be 0 or 1, got {flag!r}")
+    solved = out["solved"] = list(map({v: f == "1" for v, f in flags.items()}.__getitem__,
+                                      raw["solved"]))
+    for name in VALUE_FIELDS:
+        parse = float if name == "metric_value" else int
+        values = out[name] = _numbers(raw[name], name, parse)
+        # filter(None) drops 0 too, which breaks neither rule
+        if parse is float and not all(map(math.isfinite, filter(None, values))):
+            raise _Broken(name, "must be finite")
+        # a negative integer's field holds a minus sign
+        if parse is int and "-" in "".join(raw[name]) and min(filter(None, values), default=0) < 0:
+            raise _Broken(name, f"must be nonnegative, got {min(filter(None, values))}")
+    # a row breaks at most one of the rules below, as it is solved or not
+    unsolved = list(map(operator.not_, solved))
+    n_unsolved = sum(unsolved)
+    for name in VALUE_FIELDS:
+        if list(compress(out[name], unsolved)).count(None) != n_unsolved:
+            raise _Broken(name, "must be empty when solved=0")
+    # no unsolved row has a time, so any other missing time is a solved row's
+    if out["time_ms"].count(None) != n_unsolved:
+        raise _Broken("time_ms", "required when solved=1")
+    return [out[name] for name in RUNS_HEADER]
 
 
-def _columns_by_row(rows: Sequence[Sequence[str]], numbers: Sequence[int]) -> list[Sequence]:
-    """The columns of ``rows`` parsed a row at a time; raises the first bad
-    row's error."""
-    parsed = []
-    seen: set[tuple] = set()
-    for fields, row in zip(rows, numbers):
-        values = _parse_row(fields, row)
-        key = values[:4]
-        if key in seen:
-            raise DuplicateKey(row, key)
-        seen.add(key)
-        parsed.append(values)
-    return [list(column) for column in zip(*parsed)] or [[] for _ in RUNS_HEADER]
-
-
-def _columns(text: str) -> list[Sequence] | None:
-    """The columns of a runs CSV without quotes, split into fields once and
-    converted a column at a time; None when it has quotes, lone carriage
-    returns, another header, a line without nine fields, or a row that
-    breaks a rule ``_parse_row`` checks or pads a field."""
-    if '"' in text:
+def _first_repeat(columns: Sequence[Sequence]) -> int | None:
+    """The index of the first record whose key, in the first four columns,
+    equals an earlier one's; None if none does."""
+    if len(set(zip(*columns[:4]))) == len(columns[0]):
         return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    header, _, body = text.partition("\n")
+    first: dict[tuple, int] = {}
+    for k, key in enumerate(zip(*columns[:4])):
+        if first.setdefault(key, k) != k:
+            return k
+    return None
+
+
+def _split(text: str) -> list[list[str]] | None:
+    """The field columns of a runs CSV, split into fields at once; None
+    when it has quotes, lone carriage returns, another header, or a line
+    without nine fields, blank lines included."""
+    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    header, _, body = (text.replace("\r\n", "\n") if "\r" in text else text).partition("\n")
     if header != ",".join(RUNS_HEADER):
         return None
-    if not body:
-        return [[] for _ in RUNS_HEADER]
-    if body[-1] == "\n":
-        body = body[:-1]
+    body = body.removesuffix("\n")
     # unquoted: csv would split each line at its commas.  Each line end
     # becomes a field of its own, so rows of nine fields put the line ends
     # at every tenth field and nowhere else.
     rows = body.count("\n") + 1
     width = len(RUNS_HEADER) + 1
     fields = body.replace("\n", ",\n,").split(",")
-    del body  # lower the peak: the columns below share the field strings
+    del body  # lower the peak: the columns share the field strings
     if len(fields) != width * rows - 1 or fields[width - 1::width].count("\n") != rows - 1:
         return None
-    planner, domain, level_raw, problem, solved_raw, *raw = (
-        fields[k::width] for k in range(width - 1)
-    )
-    del fields
-    for column in (planner, domain, level_raw, problem):
-        distinct = set(column)
-        if "" in distinct or any(value != value.strip() for value in distinct):
-            return None
-    if not set(solved_raw) <= {"0", "1"}:
-        return None
-    solved = [value == "1" for value in solved_raw]
-    # a time on exactly the solved rows, other values on solved rows only
-    if list(map(bool, raw[0])) != solved or not all(all(compress(solved, c)) for c in raw[1:]):
-        return None
-    try:
-        levels = {value: Level.parse(value) for value in set(level_raw)}
-        time_ms, seq_length, conc_length = (
-            [int(value) if value else None for value in column]
-            for column in (raw[0], raw[2], raw[3])
-        )
-        metric_value = [float(value) if value else None for value in raw[1]]
-    except (UnknownLevel, ValueError):
-        return None
-    if min(filter(None, chain(time_ms, seq_length, conc_length)), default=0) < 0:
-        return None
-    if not all(map(math.isfinite, filter(None, metric_value))):
-        return None
-    # keys hold the parsed level: "strips" and "STRIPS" are one level
-    level = list(map(levels.__getitem__, level_raw))
-    if len(set(zip(planner, domain, level, problem))) < len(planner):
-        return None
-    return [planner, domain, level, problem, solved, time_ms, metric_value, seq_length, conc_length]
+    return [fields[k::width] for k in range(width - 1)]
+
+
+def _columns_of(rows: Sequence[Sequence[str]]) -> list[list[str]]:
+    """The columns of ``rows``; none, which ``_convert`` refuses, if a row
+    is not as wide as the header."""
+    if any(len(fields) != len(RUNS_HEADER) for fields in rows):
+        return []
+    return list(map(list, zip(*rows))) or [[] for _ in RUNS_HEADER]
 
 
 def load_runs(path: str | Path) -> RunTable:
@@ -569,10 +547,14 @@ def load_runs(path: str | Path) -> RunTable:
 
 
 def runs_from_bytes(data: bytes) -> RunTable:
-    """Parse and validate the bytes of a runs CSV.
+    """Parse and validate the bytes of a runs CSV, keeping the row order.
 
-    Order-preserving and deterministic; the first malformed row aborts
-    the load with a row-numbered error.
+    The file is split into fields at once unless it has quotes, lone
+    carriage returns, blank or ragged lines or another header, when
+    ``csv.reader`` reads it.  Its fields are converted a column at a time,
+    by one rule per column; if that fails, the rows are converted one at a
+    time by the same rules, and the first bad row aborts the load with a
+    row-numbered error unless a key repeats before it.
 
     Raises:
         MissingHeader: if the first line is not the exact expected header.
@@ -591,27 +573,40 @@ def runs_from_bytes(data: bytes) -> RunTable:
             RUNS_HEADER[k] if k < len(RUNS_HEADER) else "<row>",
             f"not UTF-8: byte 0x{data[exc.start]:02x}",
         ) from None
-    return _parse_runs(text)
-
-
-def _parse_runs(text: str) -> RunTable:
-    columns = _columns(text)
+    columns = _split(text)
     if columns is not None:
-        return RunTable(columns)
-    reader = csv.reader(io.StringIO(text, newline=""))
+        numbers, rows = range(2, len(columns[0]) + 2), None
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise MissingHeader("empty file")
+        if tuple(h.strip() for h in header) != RUNS_HEADER:
+            raise MissingHeader(f"expected header {','.join(RUNS_HEADER)!r}, "
+                                f"got {','.join(header)!r}")
+        # skip blank lines, keeping each row's line number
+        numbered = [(row, fields) for row, fields in enumerate(reader, start=2)
+                    if fields and not (len(fields) == 1 and fields[0].strip() == "")]
+        numbers, rows = [row for row, _ in numbered], [fields for _, fields in numbered]
+        columns = _columns_of(rows)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingHeader("empty file") from None
-    if tuple(h.strip() for h in header) != RUNS_HEADER:
-        raise MissingHeader(f"expected header {','.join(RUNS_HEADER)!r}, got {','.join(header)!r}")
-    # skip blank lines, keeping each row's line number
-    numbered = [
-        (row, fields)
-        for row, fields in enumerate(reader, start=2)
-        if fields and not (len(fields) == 1 and fields[0].strip() == "")
-    ]
-    return RunTable(_columns_by_row([f for _, f in numbered], [row for row, _ in numbered]))
+        columns, error = _convert(columns), None
+    except _Broken:
+        good, error = [], None
+        for row, fields in zip(numbers, rows or list(zip(*columns))):
+            try:
+                _convert([[value] for value in fields])
+            except _Broken as exc:
+                error = BadField(row, *exc.args)
+                break
+            good.append(fields)
+        columns = _convert(_columns_of(good))
+    k = _first_repeat(columns)
+    if k is not None:
+        raise DuplicateKey(numbers[k], RunTable(columns)[k].key)
+    if error is not None:
+        raise error
+    return RunTable(columns)
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -640,8 +635,9 @@ def manifest_from_bytes(data: bytes) -> Manifest:
 
 
 def _text(value: object, what: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"{what} must be a non-empty string, got {value!r}")
+    """``value`` if it is a name as a runs file can give it."""
+    if not isinstance(value, str) or not value or value != value.strip():
+        raise ParseError(f"{what} must be a non-empty string without padding, got {value!r}")
     return value
 
 
@@ -680,8 +676,9 @@ def parse_manifest(doc: object) -> Manifest:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad problem set entry: {exc}") from None
         level = Level.parse(level_name)
-        if not isinstance(problems, list) or not all(isinstance(p, str) for p in problems):
-            raise ParseError(f"problems must be a list of strings in set {domain}/{level.value}")
+        if not isinstance(problems, list):
+            raise ParseError(f"problems must be a list in set {domain}/{level.value}")
+        problems = list(map(_text, problems, repeat(f"problem id in {domain}/{level.value}")))
         if not problems:
             raise EmptyProblemList(f"problem set {domain}/{level.value} has no problems")
         sets.append(

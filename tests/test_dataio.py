@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_MANIFEST_FIELDS, manifest_doc_with, pset, run, simple_manifest
+from test_loader_fuzz import reference_read
 from planstats import dataio
 from planstats.dataio import (
     BadField,
@@ -390,16 +391,27 @@ class TestValidateDataset:
         ]
 
 
-def row_by_row(text):
-    """The records of a runs CSV parsed a row at a time."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
-    return list(RunTable(dataio._columns_by_row(rows, range(2, len(rows) + 2))))
+def written(text, form):
+    """A runs CSV written again in ``form``: with the line end ``form``,
+    every field quoted, every data field padded, or a blank line added."""
+    if form in ("\n", "\r\n"):
+        return text.replace("\n", form)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if form == "quote-all":
+        out = io.StringIO()
+        csv.writer(out, quoting=csv.QUOTE_ALL).writerows(rows)
+        return out.getvalue()
+    if form == "padded":
+        header, *rows = rows
+        return ",".join(header) + "\n" + "".join(",".join(f" {f} " for f in row) + "\n"
+                                               for row in rows)
+    return text + "\n"  # a trailing blank line
 
 
 class TestColumnPath:
-    """A valid file without quotes loads through the one-split column path;
-    ``_columns_by_row``, the slower row-at-a-time parse, is only the
-    fallback and the source of every error."""
+    """Every valid file is converted a column at a time, in one call of
+    ``_convert``; converting one row at a time is only how a bad file's
+    first bad row is found."""
 
     @pytest.fixture()
     def runs_text(self, request, tmp_path):
@@ -413,19 +425,24 @@ class TestColumnPath:
         return runs.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("runs_text", ["sample", "grid"], indirect=True)
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_valid_file_is_not_parsed_row_by_row(self, runs_text, newline, tmp_path, monkeypatch):
-        expected = row_by_row(runs_text)
+    @pytest.mark.parametrize("form", ["\n", "\r\n", "quote-all", "padded", "blank-line"])
+    def test_valid_file_is_not_parsed_row_by_row(self, runs_text, form, tmp_path, monkeypatch):
+        text = written(runs_text, form)
+        expected = reference_read(text)
         path = tmp_path / "runs.csv"
-        path.write_bytes(runs_text.replace("\n", newline).encode("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
+        calls = []
 
-        def refuse(rows, numbers):
-            raise AssertionError("a valid file was parsed row by row")
+        def convert(columns):
+            calls.append(len(columns[0]))
+            return real_convert(columns)
 
-        monkeypatch.setattr(dataio, "_columns_by_row", refuse)
+        real_convert = dataio._convert
+        monkeypatch.setattr(dataio, "_convert", convert)
         loaded = list(load_runs(path))
         assert len(loaded) > 100
         assert loaded == expected
+        assert calls == [len(loaded)]
 
     def test_short_row_before_a_long_one_is_refused_by_row(self):
         # eight fields, then ten: the file's field count is that of two
@@ -437,6 +454,28 @@ class TestColumnPath:
             load_text(text)
         assert (exc.value.row, exc.value.column) == (2, "<row>")
         assert exc.value.reason == "expected 9 fields, got 8"
+
+
+@pytest.mark.parametrize("planner, domain, problems, message", [
+    pytest.param(" apex", "d", ["", " p1"], "bad planner entry {'name': ' apex', 'category': "
+                 "'fully-automated', 'levels': ['strips']}: planner name must be a non-empty "
+                 "string without padding, got ' apex'", id="padded-planner"),
+    pytest.param("apex", "d", ["p0", "", " p1"], "problem id in d/strips must be a non-empty "
+                 "string without padding, got ''", id="empty-problem"),
+    pytest.param("apex", "d", [" p1"], "problem id in d/strips must be a non-empty string "
+                 "without padding, got ' p1'", id="padded-problem"),
+    pytest.param("apex", "d ", ["p1"], "bad problem set entry: domain must be a non-empty "
+                 "string without padding, got 'd '", id="padded-domain"),
+])
+def test_manifest_refuses_a_name_no_record_can_give(planner, domain, problems, message):
+    """The runs loader strips every field, so no record can name a padded
+    planner or problem: the manifest refuses one rather than report each
+    record of it as undeclared."""
+    doc = {"planners": [{"name": planner, "category": "fully-automated", "levels": ["strips"]}],
+           "problem_sets": [{**pset(domain, "strips"), "problems": problems}]}
+    with pytest.raises(ParseError) as exc:
+        parse_manifest(doc)
+    assert str(exc.value) == message
 
 
 def hand_built(doc):

@@ -10,7 +10,7 @@ records when the file is valid.
 import csv
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planstats.dataio import (
@@ -172,8 +172,19 @@ def mutated_csv(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
+HEADER = ",".join(RUNS_HEADER)
+
+
 @settings(max_examples=500, deadline=None)
 @given(mutated_csv())
+# an empty problem before a bad level in one row: the problem is reported
+@example(f"{HEADER}\napex,d,classical,,1,5,,,\n")
+# solved=1 with no time and a bad conc_length: the bad field is reported
+@example(f"{HEADER}\napex,d,strips,p1,1,,,,x\n")
+# a repeated key with a bad seq_length in the same row: the field is reported
+@example(f"{HEADER}\napex,d,strips,p1,1,5,,,\napex,d,strips,p1,1,5,,x,\n")
+# a bad field in row 2 before an empty planner in row 3: row 2 is reported
+@example(f"{HEADER}\napex,d,strips,p1,1,x,,,\n,d,strips,p2,1,5,,,\n")
 def test_loader_fails_like_the_row_by_row_parse(text):
     expected = loaded(reference_read, text)
     got = loaded(lambda t: runs_from_bytes(t.encode("utf-8")), text)
