@@ -469,8 +469,8 @@ class TestColumnPath:
 ])
 def test_manifest_refuses_a_name_no_record_can_give(planner, domain, problems, message):
     """The runs loader strips every field, so no record can name a padded
-    planner or problem: the manifest refuses one rather than report each
-    record of it as undeclared."""
+    planner, domain or problem, nor an empty problem: the manifest refuses
+    such a name rather than report each record of it as undeclared."""
     doc = {"planners": [{"name": planner, "category": "fully-automated", "levels": ["strips"]}],
            "problem_sets": [{**pset(domain, "strips"), "problems": problems}]}
     with pytest.raises(ParseError) as exc:
