@@ -163,15 +163,19 @@ def agreement_table(
     manifest: Manifest,
     category: Category,
     alpha: float = DEFAULT_ALPHA,
+    level: Level | None = None,
+    size_class: SizeClass | None = None,
 ) -> list[AgreementResult]:
-    """Agreement results for every populated cell of a category.
+    """Agreement results for every populated cell of a category, at one
+    level and one size class if given.
 
     Cells without two eligible judges or two problems are skipped.
     """
     runs = RunTable.of(runs)
     results = []
     for ps in sorted(
-        manifest.problem_sets, key=lambda s: (s.size_class.value, s.domain, s.level.value)
+        manifest.sets_at(level=level, size_class=size_class),
+        key=lambda s: (s.size_class.value, s.domain, s.level.value),
     ):
         try:
             results.append(

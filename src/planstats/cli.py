@@ -129,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_config(args: argparse.Namespace) -> ReportConfig:
     """The config of the session flags --config and --seed."""
-    config = ReportConfig()
-    if args.config:
-        config = load_config_file(args.config, config)
+    config = load_config_file(args.config) if args.config else ReportConfig()
     if args.seed is not None:
         config.seed = args.seed
     config.validate()
@@ -311,13 +309,14 @@ def cmd_hardness(args, config, runs, manifest, diagnostics, dataset_hash) -> int
 
 def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     category = CATEGORIES[args.category]
-    results = agreement_mod.agreement_table(runs, manifest, category, config.alpha_agreement)
+    level = Level.parse(args.level) if args.level else None
+    size = SizeClass(args.size) if args.size else None
+    results = agreement_mod.agreement_table(runs, manifest, category, config.alpha_agreement,
+                                            level=level, size_class=size)
     extra = {"category": args.category}
     if args.level:
-        results = [r for r in results if r.level is Level.parse(args.level)]
         extra["level"] = args.level
     if args.size:
-        results = [r for r in results if r.size_class is SizeClass(args.size)]
         extra["size"] = args.size
     text = render_agreement_text(results)
     _write_table(args, config, dataset_hash, extra, text, agreement_csv_rows(results))

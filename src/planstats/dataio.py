@@ -298,21 +298,26 @@ class RunTable(Sequence[RunRecord]):
     The analyses read records through :meth:`grid`, which lays out one
     (level, size class) the first time an analysis asks for it and keeps
     it for the manifest it was laid out by; validation lays out none.
-    Each record is placed once per manifest (:meth:`codes`) and numbered
-    once by its planner (:meth:`planner_ids`); a grid selects its cells
-    and rows from those numbers.  A record object is built only when one
-    is asked for, by indexing or iterating.  No two records share a
-    (planner, domain, level, problem) key: the loader and :meth:`of`
-    refuse a repeat.
+    Each record is numbered by its planner when the table is built
+    (``planner_ids``, a position in ``planner_names``) and placed once per
+    manifest (:meth:`codes`); a grid selects its cells and rows from those
+    numbers.  A record object is built only when one is asked for, by
+    indexing or iterating.  No two records share a (planner, domain, level,
+    problem) key: the loader and :meth:`of` refuse a repeat.
     """
 
     def __init__(self, columns: Sequence[Sequence]):
         self.columns: dict[str, Sequence] = dict(zip(RUNS_HEADER, columns))
-        # the (planner, level) pairs, the planner numbers, the cell arrays
-        # and, for one manifest, the records' codes and the grids, made on
-        # first use
-        self._planner_levels: set[tuple[str, Level]] | None = None
-        self._planner_ids: tuple[tuple[str, ...], np.ndarray] | None = None
+        planner = self.columns["planner"]
+        # the distinct (planner, level) pairs; the distinct planners in name
+        # order, and each record's position among them
+        self.planner_levels = set(zip(planner, self.columns["level"]))
+        self.planner_names = tuple(sorted({name for name, _ in self.planner_levels}))
+        at = {name: k for k, name in enumerate(self.planner_names)}
+        self.planner_ids = np.fromiter(map(at.__getitem__, planner), dtype=np.intp,
+                                       count=len(planner))
+        # the cell arrays and, for one manifest, the records' codes and the
+        # grids, made on first use
         self._arrays: dict[str, np.ndarray] | None = None
         self._manifest: Manifest | None = None
         self._codes: np.ndarray | None = None
@@ -345,23 +350,6 @@ class RunTable(Sequence[RunRecord]):
     def __iter__(self):
         return map(RunRecord, *self.columns.values())
 
-    def planner_levels(self) -> set[tuple[str, Level]]:
-        """The distinct (planner, level) pairs of the records."""
-        if self._planner_levels is None:
-            self._planner_levels = set(zip(self.columns["planner"], self.columns["level"]))
-        return self._planner_levels
-
-    def planner_ids(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The records' distinct planners in name order, and each record's
-        position among them."""
-        if self._planner_ids is None:
-            planner = self.columns["planner"]
-            names = sorted(set(planner))
-            at = {name: k for k, name in enumerate(names)}
-            ids = np.fromiter(map(at.__getitem__, planner), dtype=np.intp, count=len(self))
-            self._planner_ids = (tuple(names), ids)
-        return self._planner_ids
-
     def codes(self, manifest: Manifest) -> np.ndarray:
         """Each record's column code under ``manifest`` (see :class:`Manifest`),
         -1 where the manifest declares no such problem."""
@@ -389,15 +377,14 @@ class RunTable(Sequence[RunRecord]):
     def _lay_out(self, manifest: Manifest, level: Level, size_class: SizeClass) -> RunGrid:
         start, stop, spans = manifest._layouts.get((level, size_class), (0, 0, {}))
         entrants = {p.name for p in manifest.planners}
-        names = tuple(sorted(entrants.union(p for p, lv in self.planner_levels() if lv is level)))
+        names = tuple(sorted(entrants.union(p for p, lv in self.planner_levels if lv is level)))
         rows = {name: r for r, name in enumerate(names)}
         codes = self.codes(manifest)
         # the table rows of the grid's records and each one's planner row;
         # every planner with a record at the level has a row
         at = np.flatnonzero((codes >= start) & (codes < stop))
-        planners, ids = self.planner_ids()
-        row_of = np.array([rows.get(name, -1) for name in planners], dtype=np.intp)
-        cell_rows = row_of[ids[at]]
+        row_of = np.array([rows.get(name, -1) for name in self.planner_names], dtype=np.intp)
+        cell_rows = row_of[self.planner_ids[at]]
         index = np.full((len(names), stop - start), -1, dtype=np.intp)
         index[cell_rows, codes[at] - start] = at
         maximize = [s.quality_direction is QualityDirection.MAXIMIZE
@@ -552,8 +539,9 @@ def runs_from_bytes(data: bytes) -> RunTable:
     The file is split into fields at once unless it has quotes, lone
     carriage returns, blank or ragged lines or another header, when
     ``csv.reader`` reads it.  Its fields are converted a column at a time,
-    by one rule per column; if that fails, the rows are converted one at a
-    time by the same rules, and the first bad row aborts the load with a
+    by one rule per column.  As every rule holds row by row, a failed
+    conversion is followed by converting halves of the rows by the same
+    rules, until the first bad row is found; it aborts the load with a
     row-numbered error unless a key repeats before it.
 
     Raises:
@@ -589,21 +577,29 @@ def runs_from_bytes(data: bytes) -> RunTable:
                     if fields and not (len(fields) == 1 and fields[0].strip() == "")]
         numbers, rows = [row for row, _ in numbered], [fields for _, fields in numbered]
         columns = _columns_of(rows)
+    error = None
     try:
-        columns, error = _convert(columns), None
+        columns = _convert(columns)
     except _Broken:
-        good, error = [], None
-        for row, fields in zip(numbers, rows or list(zip(*columns))):
+        # every rule holds row by row: rows[:good] convert, and
+        # rows[good:bad] hold the first row that does not
+        rows = rows or list(zip(*columns))
+        good, bad = 0, len(rows)
+        while bad - good > 1:
+            half = (good + bad) // 2
             try:
-                _convert([[value] for value in fields])
-            except _Broken as exc:
-                error = BadField(row, *exc.args)
-                break
-            good.append(fields)
-        columns = _convert(_columns_of(good))
+                _convert(_columns_of(rows[good:half]))
+                good = half
+            except _Broken:
+                bad = half
+        try:
+            _convert([[value] for value in rows[good]])
+        except _Broken as exc:
+            error = BadField(numbers[good], *exc.args)
+        columns = _convert(_columns_of(rows[:good]))
     k = _first_repeat(columns)
     if k is not None:
-        raise DuplicateKey(numbers[k], RunTable(columns)[k].key)
+        raise DuplicateKey(numbers[k], RunRecord(*(column[k] for column in columns)).key)
     if error is not None:
         raise error
     return RunTable(columns)
@@ -658,6 +654,8 @@ def parse_manifest(doc: object) -> Manifest:
             name = _text(entry["name"], "planner name")
             category = Category(entry["category"])
             level_names = entry["levels"]
+        except DataError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad planner entry {entry!r}: {exc}") from None
         if not isinstance(level_names, list):
@@ -673,6 +671,8 @@ def parse_manifest(doc: object) -> Manifest:
             size_class = SizeClass(entry["size_class"])
             direction = QualityDirection(entry["quality_direction"])
             problems = entry["problems"]
+        except DataError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad problem set entry: {exc}") from None
         level = Level.parse(level_name)
@@ -717,7 +717,7 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
     runs = RunTable.of(runs)
     diagnostics: list[Diagnostic] = []
     codes = runs.codes(manifest)
-    entered = all(manifest.entered(name, level) for name, level in runs.planner_levels())
+    entered = all(manifest.entered(name, level) for name, level in runs.planner_levels)
     if not entered or codes.min(initial=0) < 0:
         # walk the records to report each error in record order
         keys = zip(*(runs.columns[name] for name in RUNS_HEADER[:4]))
@@ -752,7 +752,7 @@ def validate_dataset(runs: Sequence[RunRecord], manifest: Manifest) -> list[Diag
                 )
 
     # each (planner, grid)'s attempted and solved columns, counted on the codes
-    names, ids = runs.planner_ids()
+    names, ids = runs.planner_names, runs.planner_ids
     known = np.flatnonzero(codes >= 0)
     grid_of = np.empty(len(manifest._column_sets), dtype=np.intp)
     for g, (start, stop, _) in enumerate(manifest._layouts.values()):

@@ -49,7 +49,7 @@ are their one-row calls.
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -121,7 +121,8 @@ class DifficultyArea:
 
 @dataclass(frozen=True)
 class BootstrapDistribution:
-    """B resampled areas of m cutoff-clamped timings each."""
+    """B resampled areas of m cutoff-clamped timings each, in draw order;
+    every construction sorts a copy of them for percentile lookups."""
 
     pool_kind: PoolKind
     category: Category
@@ -132,17 +133,10 @@ class BootstrapDistribution:
     cutoff_ms: int
     seed: int
     rng: str = RNG_NAME
-    # the samples as a float array, passed by the sampler, which holds one
-    _sample_array: InitVar[np.ndarray | None] = None
-    # the samples in ascending order, for percentile lookups
     _ordered: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _sample_array: np.ndarray | None) -> None:
-        if _sample_array is None:
-            _sample_array = np.array(self.samples, dtype=float)
-        elif len(_sample_array) != len(self.samples):
-            raise ValueError(f"{len(_sample_array)} sample areas for {len(self.samples)} samples")
-        object.__setattr__(self, "_ordered", np.sort(_sample_array))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_ordered", np.sort(np.array(self.samples, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -525,7 +519,6 @@ def bootstrap_distributions(
             m=m,
             cutoff_ms=cutoff_ms,
             seed=seed,
-            _sample_array=areas,
         )
         for kind, areas in zip(filled, samples)
     }

@@ -74,9 +74,9 @@ class BadConfigValue(ValueError):
         self.name = name
 
 
-def load_config_file(path: str | Path, base: ReportConfig | None = None) -> ReportConfig:
-    """Read ``key=value`` lines into a config; unknown keys are errors."""
-    config = base or ReportConfig()
+def load_config_file(path: str | Path) -> ReportConfig:
+    """Read ``key=value`` lines into a default config; unknown keys are errors."""
+    config = ReportConfig()
     field_types = {f.name: f.type for f in fields(ReportConfig)}
     # key -> number of the line that last set it
     set_on: dict[str, int] = {}
@@ -501,15 +501,10 @@ def series_csv(
     direction = (
         ps.quality_direction.value if measure is Measure.QUALITY_METRIC else "minimize"
     )
-    out = io.StringIO()
-    for line in header_lines:
-        out.write(line + "\n")
-    out.write(f"# direction={direction}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["problem"] + planners)
+    table = [["problem", *planners]]
     for problem, value_row, record_row in zip(ps.problems, values, records):
-        writer.writerow([problem] + [text(v, i) for v, i in zip(value_row, record_row)])
-    return out.getvalue()
+        table.append([problem, *map(text, value_row, record_row)])
+    return csv_text(table, [*header_lines, f"# direction={direction}"])
 
 
 def dot_with_metadata(order: PartialOrder, header_lines: Sequence[str]) -> str:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_MANIFEST_FIELDS, manifest_doc_with
-from planstats import cli, dataio, hardness, pairwise, ranking
+from planstats import agreement, cli, dataio, hardness, pairwise, ranking
 from planstats.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -421,6 +421,28 @@ class TestAgreementCommand:
         assert "F(19,40)=" in text
         csv_text = (tmp_path / "agreement_auto.csv").read_text()
         assert "domain,level,size_class,F,df1,df2,p,significant,judges" in csv_text
+
+    def test_level_tests_only_its_cells(self, tmp_path, monkeypatch):
+        tested = []
+
+        def counted(runs, manifest, domain, level, *args):
+            tested.append(level)
+            return real_test(runs, manifest, domain, level, *args)
+
+        real_test = agreement.agreement_test
+        monkeypatch.setattr(agreement, "agreement_test", counted)
+        assert invoke("agreement", *common(tmp_path / "strips", "--level", "strips")) == 0
+        assert tested and set(tested) == {dataio.Level.STRIPS}
+        assert invoke("agreement", *common(tmp_path / "all")) == 0
+
+        def rows(path):
+            lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+            return list(csv.reader(lines))
+
+        (header, *strips), (_, *every) = (rows(tmp_path / "strips" / "agreement_auto_strips.csv"),
+                                          rows(tmp_path / "all" / "agreement_auto.csv"))
+        assert strips == [r for r in every if r[header.index("level")] == "strips"]
+        assert len(strips) < len(every)
 
 
 class TestScalingCommand:

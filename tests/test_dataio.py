@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -410,7 +411,7 @@ def written(text, form):
 
 class TestColumnPath:
     """Every valid file is converted a column at a time, in one call of
-    ``_convert``; converting one row at a time is only how a bad file's
+    ``_convert``; converting halves of the rows is only how a bad file's
     first bad row is found."""
 
     @pytest.fixture()
@@ -444,6 +445,32 @@ class TestColumnPath:
         assert loaded == expected
         assert calls == [len(loaded)]
 
+    @pytest.mark.parametrize("runs_text", ["sample", "grid"], indirect=True)
+    @pytest.mark.parametrize("form", ["\n", "quote-all"])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_bad_row_is_found_by_halving(self, runs_text, form, at, monkeypatch):
+        header, *lines = runs_text.splitlines()
+        k = {"first": 0, "middle": len(lines) // 2, "last": len(lines) - 1}[at]
+        fields = lines[k].split(",")
+        fields[RUNS_HEADER.index("time_ms")] = "x"
+        lines[k] = ",".join(fields)
+        text = written("\n".join([header, *lines]) + "\n", form)
+        with pytest.raises(BadField) as expected:
+            reference_read(text)
+        calls = []
+
+        def convert(columns):
+            calls.append(len(columns))
+            return real_convert(columns)
+
+        real_convert = dataio._convert
+        monkeypatch.setattr(dataio, "_convert", convert)
+        with pytest.raises(BadField) as exc:
+            load_text(text)
+        assert (exc.value.row, str(exc.value)) == (expected.value.row, str(expected.value))
+        assert (exc.value.row, exc.value.column) == (k + 2, "time_ms")
+        assert len(calls) <= math.ceil(math.log2(len(lines))) + 3
+
     def test_short_row_before_a_long_one_is_refused_by_row(self):
         # eight fields, then ten: the file's field count is that of two
         # good rows, but its line ends are out of step with the columns
@@ -457,15 +484,14 @@ class TestColumnPath:
 
 
 @pytest.mark.parametrize("planner, domain, problems, message", [
-    pytest.param(" apex", "d", ["", " p1"], "bad planner entry {'name': ' apex', 'category': "
-                 "'fully-automated', 'levels': ['strips']}: planner name must be a non-empty "
-                 "string without padding, got ' apex'", id="padded-planner"),
+    pytest.param(" apex", "d", ["", " p1"], "planner name must be a non-empty string without "
+                 "padding, got ' apex'", id="padded-planner"),
     pytest.param("apex", "d", ["p0", "", " p1"], "problem id in d/strips must be a non-empty "
                  "string without padding, got ''", id="empty-problem"),
     pytest.param("apex", "d", [" p1"], "problem id in d/strips must be a non-empty string "
                  "without padding, got ' p1'", id="padded-problem"),
-    pytest.param("apex", "d ", ["p1"], "bad problem set entry: domain must be a non-empty "
-                 "string without padding, got 'd '", id="padded-domain"),
+    pytest.param("apex", "d ", ["p1"], "domain must be a non-empty string without padding, "
+                 "got 'd '", id="padded-domain"),
 ])
 def test_manifest_refuses_a_name_no_record_can_give(planner, domain, problems, message):
     """The runs loader strips every field, so no record can name a padded
