@@ -539,9 +539,8 @@ def runs_from_bytes(data: bytes) -> RunTable:
     The file is split into fields at once unless it has quotes, lone
     carriage returns, blank or ragged lines or another header, when
     ``csv.reader`` reads it.  Its fields are converted a column at a time,
-    by one rule per column.  As every rule holds row by row, a failed
-    conversion is followed by converting halves of the rows by the same
-    rules, until the first bad row is found; it aborts the load with a
+    by one rule per column; if that fails, the rows are converted one at a
+    time by the same rules, and the first bad row aborts the load with a
     row-numbered error unless a key repeats before it.
 
     Raises:
@@ -577,26 +576,18 @@ def runs_from_bytes(data: bytes) -> RunTable:
                     if fields and not (len(fields) == 1 and fields[0].strip() == "")]
         numbers, rows = [row for row, _ in numbered], [fields for _, fields in numbered]
         columns = _columns_of(rows)
-    error = None
     try:
-        columns = _convert(columns)
+        columns, error = _convert(columns), None
     except _Broken:
-        # every rule holds row by row: rows[:good] convert, and
-        # rows[good:bad] hold the first row that does not
-        rows = rows or list(zip(*columns))
-        good, bad = 0, len(rows)
-        while bad - good > 1:
-            half = (good + bad) // 2
+        good, error = [], None
+        for row, fields in zip(numbers, rows or list(zip(*columns))):
             try:
-                _convert(_columns_of(rows[good:half]))
-                good = half
-            except _Broken:
-                bad = half
-        try:
-            _convert([[value] for value in rows[good]])
-        except _Broken as exc:
-            error = BadField(numbers[good], *exc.args)
-        columns = _convert(_columns_of(rows[:good]))
+                _convert([[value] for value in fields])
+            except _Broken as exc:
+                error = BadField(row, *exc.args)
+                break
+            good.append(fields)
+        columns = _convert(_columns_of(good))
     k = _first_repeat(columns)
     if k is not None:
         raise DuplicateKey(numbers[k], RunRecord(*(column[k] for column in columns)).key)
