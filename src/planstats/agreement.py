@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
-from .pairwise import NoProblems, _check_entered
+from .pairwise import _check_entered
 from .ranking import WORST, mid_ranks
 from .stattests import MrcResult, mrc_test
 
@@ -85,10 +85,8 @@ def judge_rank_rows(
     for planner in planners:
         _check_entered(manifest, planner, level)
     grid = RunTable.of(runs).grid(manifest, level, size_class)
-    if domain not in grid.spans:
-        raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
     rows = [grid.rows[planner] for planner in planners]
-    times = grid.values["time_ms"][rows, grid.spans[domain]]
+    times = grid.values["time_ms"][rows, grid.span(domain)]
     return mid_ranks(np.where(np.isnan(times), WORST, times))
 
 
@@ -101,9 +99,7 @@ def _eligible_judges(
     category: Category,
 ) -> tuple[list[str], list[str]]:
     grid = runs.grid(manifest, level, size_class)
-    if domain not in grid.spans:
-        raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
-    span = grid.spans[domain]
+    span = grid.span(domain)
     if span.stop - span.start < 2:
         raise TooFewProblems(f"{domain}/{level.value}/{size_class.value}: fewer than two problems")
     attempted = grid.present[:, span].sum(axis=1).tolist()
@@ -134,6 +130,7 @@ def agreement_test(
     that attempted fewer than half the problems are excluded and noted.
 
     Raises:
+        NoProblems: if the cell has no problem set.
         TooFewProblems: with fewer than two problems.
         TooFewJudges: with fewer than two eligible judges.
     """

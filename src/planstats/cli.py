@@ -42,6 +42,7 @@ from .dataio import (
     Diagnostic,
     Level,
     Manifest,
+    NoProblems,
     RunTable,
     SizeClass,
     manifest_from_bytes,
@@ -60,7 +61,6 @@ from .pairwise import (
 )
 from .report import (
     ReportConfig,
-    UnknownCell,
     agreement_csv_rows,
     comparisons_csv_rows,
     csv_text,
@@ -130,10 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_config(args: argparse.Namespace) -> ReportConfig:
     """The config of the session flags --config and --seed."""
     config = load_config_file(args.config) if args.config else ReportConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    config.validate()
-    return config
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
 
 
 def _command_config(config: ReportConfig, args: argparse.Namespace) -> ReportConfig:
@@ -142,9 +139,7 @@ def _command_config(config: ReportConfig, args: argparse.Namespace) -> ReportCon
     alpha = getattr(args, "alpha", None)
     if alpha is None:
         return config
-    config = dataclasses.replace(config, **{ALPHA_FIELDS.get(args.command, "alpha_pairwise"): alpha})
-    config.validate()
-    return config
+    return dataclasses.replace(config, **{ALPHA_FIELDS.get(args.command, "alpha_pairwise"): alpha})
 
 
 def _dataset_hash(runs_data: bytes, manifest_data: bytes) -> str:
@@ -363,7 +358,7 @@ def cmd_series(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     header = metadata_lines(config, dataset_hash, "series", extra)
     try:
         text = series_csv(runs, manifest, args.domain, level, measure, size, header)
-    except UnknownCell as exc:
+    except NoProblems as exc:
         print(f"series: {exc}", file=sys.stderr)
         return 2
     path = _write(args, f"{_stem('series', extra)}.csv", text)

@@ -70,6 +70,10 @@ class DuplicateProblem(DataError):
     pass
 
 
+class NoProblems(ValueError):
+    """No problem set exists for the requested level, size class or domain."""
+
+
 class Level(enum.Enum):
     STRIPS = "strips"
     NUMERIC = "numeric"
@@ -244,11 +248,6 @@ class Manifest:
             out = [s for s in out if s.domain == domain]
         return out
 
-    def resolve(self, domain: str, level: Level, problem: str) -> ProblemSet | None:
-        """The unique problem set containing (domain, level, problem), if any."""
-        code = self._by_problem.get((domain, level, problem))
-        return None if code is None else self._column_sets[code]
-
     def levels(self) -> list[Level]:
         seen = []
         for s in self.problem_sets:
@@ -266,7 +265,8 @@ class RunGrid:
     """The records at one (level, size class) as planner × problem arrays.
 
     Columns are the problems of the level's sets of that size class, in
-    manifest set and problem order; ``spans`` gives each domain's columns.
+    manifest set and problem order; ``spans`` gives each domain's columns
+    and :meth:`span` one domain's.
     Rows are planner names in name order: the manifest's planners and every
     planner with a record at the level.  ``index`` holds the table row of
     each cell's record, -1 where there is none, and ``values`` each value
@@ -275,6 +275,8 @@ class RunGrid:
     so its arrays are read-only.
     """
 
+    level: Level
+    size_class: SizeClass
     names: tuple[str, ...]
     rows: dict[str, int]
     spans: dict[str, slice]
@@ -284,6 +286,19 @@ class RunGrid:
     present: np.ndarray
     solved: np.ndarray
     values: dict[str, np.ndarray]
+
+    def span(self, domain: str) -> slice:
+        """The columns of ``domain``'s problem set.
+
+        Raises:
+            NoProblems: if the domain has no problem set at the grid's
+                level and size class.
+        """
+        span = self.spans.get(domain)
+        if span is None:
+            raise NoProblems(f"no {self.size_class.value} problem set for "
+                             f"{domain}/{self.level.value}")
+        return span
 
     def attempted(self, span: slice) -> list[str]:
         """Planners with a record in the columns ``span``, in name order."""
@@ -392,6 +407,8 @@ class RunTable(Sequence[RunRecord]):
         # index -1 reads the arrays' trailing entry: unsolved, no values
         arrays = self._cell_arrays()
         grid = RunGrid(
+            level=level,
+            size_class=size_class,
             names=names,
             rows=rows,
             spans=spans,

@@ -226,14 +226,13 @@ def subject_areas(
     planner with no record at the level.
 
     Raises:
-        EmptyPool: if the level has no such problem set of the size class.
+        NoProblems: if the domain has no problem set at the level and size
+            class.
         EmptyInput: if the problem set has no problems.
         ValueError: if the cutoff is not positive.
     """
     grid = RunTable.of(runs).grid(manifest, level, size_class)
-    if domain not in grid.spans:
-        raise EmptyPool(f"no {size_class.value} problem set for {domain}/{level.value}")
-    span = grid.spans[domain]
+    span = grid.span(domain)
     times = np.full((len(planners), span.stop - span.start), np.nan)
     known = [k for k, name in enumerate(planners) if name in grid.rows]
     times[known] = grid.values["time_ms"][[grid.rows[planners[k]] for k in known], span]

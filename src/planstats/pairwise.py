@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import Level, Manifest, QualityDirection, RunRecord, RunTable, SizeClass
+from .dataio import Level, Manifest, NoProblems, QualityDirection, RunRecord, RunTable, SizeClass
 from .distributions import DomainError
 from .ranking import WORST, is_worst
 from .stattests import (
@@ -44,10 +44,6 @@ ALPHA_LADDER = (0.001, 0.01, 0.05)
 
 class PlannerNotInLevel(ValueError):
     """The planner did not enter the requested level per the manifest."""
-
-
-class NoProblems(ValueError):
-    """No problem sets exist for the requested level/size class."""
 
 
 class PairingMode(enum.Enum):

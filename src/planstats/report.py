@@ -31,18 +31,17 @@ from .ordering import PartialOrder, to_dot
 from .pairwise import MEASURE_FIELDS, ComparisonResult, MagnitudeResult, Measure
 from .scaling import IncomparableReason, ScalingResult, Verdict
 
-class UnknownCell(ValueError):
-    """The requested (domain, level, size class) cell does not exist."""
 
-
-@dataclass
+@dataclass(frozen=True)
 class ReportConfig:
     """Analysis parameters shared by every command.
 
     Each default is the analysis module's own (``ordering``, ``agreement``,
     ``scaling`` and ``hardness``), except the magnitude tests' alpha,
     which no module holds, and the seed, which is 3 for the CLI and 0 for
-    the library functions.
+    the library functions.  A config is checked when it is built, by the
+    constructor or ``dataclasses.replace``: a field outside its range
+    raises :class:`BadConfigValue` naming it.
     """
 
     alpha_pairwise: float = ordering.DEFAULT_ALPHA
@@ -54,7 +53,7 @@ class ReportConfig:
     cutoff_ms: int = hardness.DEFAULT_CUTOFF_MS
     seed: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha_pairwise", "alpha_magnitude", "alpha_agreement", "alpha_scaling"):
             value = getattr(self, name)
             if not (0.0 < value < 0.5):
@@ -76,8 +75,8 @@ class BadConfigValue(ValueError):
 
 def load_config_file(path: str | Path) -> ReportConfig:
     """Read ``key=value`` lines into a default config; unknown keys are errors."""
-    config = ReportConfig()
     field_types = {f.name: f.type for f in fields(ReportConfig)}
+    values: dict[str, float | int] = {}
     # key -> number of the line that last set it
     set_on: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -94,17 +93,15 @@ def load_config_file(path: str | Path) -> ReportConfig:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
             convert = float if key.startswith("alpha") else int
             try:
-                setattr(config, key, convert(value))
+                values[key] = convert(value)
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
             set_on[key] = line_no
     try:
-        config.validate()
+        return ReportConfig(**values)
     except BadConfigValue as exc:
-        if exc.name not in set_on:
-            raise
+        # the defaults are valid, so the bad value is one the file set
         raise ValueError(f"{path}:{set_on[exc.name]}: {exc}") from None
-    return config
 
 
 def metadata_lines(
@@ -477,15 +474,13 @@ def series_csv(
     """Per-problem value series, one column per planner (empty = unsolved).
 
     Raises:
-        UnknownCell: if the (domain, level, size class) cell has no set.
+        NoProblems: if the domain has no problem set at the level and size
+            class.
     """
-    sets = manifest.sets_at(level=level, size_class=size_class, domain=domain)
-    if not sets:
-        raise UnknownCell(f"no {size_class.value} problem set for {domain}/{level.value}")
-    (ps,) = sets
     runs = RunTable.of(runs)
     grid = runs.grid(manifest, level, size_class)
-    span = grid.spans[domain]
+    span = grid.span(domain)
+    (ps,) = manifest.sets_at(level=level, size_class=size_class, domain=domain)
     planners = grid.attempted(span)
     rows = [grid.rows[p] for p in planners]
     values = grid.values[MEASURE_FIELDS[measure]][rows, span].T.tolist()

@@ -23,9 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .agreement import judge_rank_rows
-from .dataio import Category, Level, Manifest, RunRecord, RunTable, SizeClass
+from .dataio import Category, Level, Manifest, NoProblems, RunRecord, RunTable, SizeClass
 from .hardness import DEFAULT_CUTOFF_MS, HardnessVerdict, clamped_times
-from .pairwise import NoProblems
 from .ranking import mid_ranks, rank_ascending
 from .stattests import SpearmanResult, spearman_rows
 
@@ -195,9 +194,7 @@ def scaling_comparisons(
     keys = {domains: k for k, domains in enumerate(dict.fromkeys(t[3] for t in tested))}
     scores = np.full(times.shape[1], np.nan)
     for domain in dict.fromkeys(d for domains in keys for d in domains):
-        span = grid.spans.get(domain)
-        if span is None:
-            raise NoProblems(f"no {size_class.value} problem set for {domain}/{level.value}")
+        span = grid.span(domain)
         if len(difficulty.get(domain, ())) != span.stop - span.start:
             raise NoProblems(
                 f"the agreed difficulty does not score the {size_class.value} "

@@ -299,20 +299,10 @@ class TestManifest:
                 }
             )
 
-    def test_resolve(self):
-        manifest = simple_manifest(
-            {"a": ["strips"]},
-            [pset("d", "strips", 2), pset("d", "strips", 2, size="large", prefix="L")],
-        )
-        assert manifest.resolve("d", Level.STRIPS, "p01").size_class.value == "small"
-        assert manifest.resolve("d", Level.STRIPS, "L01").size_class.value == "large"
-        assert manifest.resolve("d", Level.STRIPS, "zzz") is None
-
     def test_lookups_indexed_outside_eq_and_repr(self):
         manifest = simple_manifest({"a": ["strips"], "b": ["numeric"]}, [pset("d", "strips", 2)])
         assert manifest.planner("b") is manifest.planners[1]
         assert manifest.planner("zz") is None
-        assert manifest.resolve("d", Level.NUMERIC, "p01") is None
         twin = Manifest(planners=manifest.planners, problem_sets=manifest.problem_sets)
         assert twin == manifest and hash(twin) == hash(manifest)
         assert "_by" not in repr(manifest)

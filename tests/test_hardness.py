@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pset, run, simple_manifest
-from planstats.dataio import Category, Level, SizeClass, parse_manifest
+from planstats.dataio import Category, Level, NoProblems, SizeClass, parse_manifest
 from planstats.hardness import (
     LEVEL_INDEPENDENT,
     BootstrapDistribution,
@@ -516,7 +516,7 @@ class TestSubjectArea:
 
     def test_errors(self):
         manifest = simple_manifest({"a": ["strips"]}, [pset("d", "strips", 3)])
-        with pytest.raises(EmptyPool):
+        with pytest.raises(NoProblems, match="no small problem set for elsewhere/strips"):
             subject_areas([], manifest, ["a"], "elsewhere", Level.STRIPS)
         with pytest.raises(ValueError):
             subject_areas([], manifest, ["a"], "d", Level.STRIPS, cutoff_ms=0)

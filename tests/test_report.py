@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import pset, run, simple_manifest
-from planstats.dataio import Category, Level, QualityDirection, SizeClass
+from planstats.dataio import Category, Level, NoProblems, QualityDirection, SizeClass
 from planstats.hardness import (
     Classification,
     HardnessTable,
@@ -12,8 +12,8 @@ from planstats.hardness import (
 )
 from planstats.pairwise import MagnitudeResult, Measure
 from planstats.report import (
+    BadConfigValue,
     ReportConfig,
-    UnknownCell,
     comparison_cell,
     fmt_p,
     fmt_stat,
@@ -194,7 +194,7 @@ class TestSeriesCsv:
 
     def test_unknown_cell(self):
         manifest = simple_manifest({"a": ["strips"]}, [pset("d", "strips", 2)])
-        with pytest.raises(UnknownCell):
+        with pytest.raises(NoProblems):
             series_csv([], manifest, "nosuch", Level.STRIPS, Measure.SPEED)
 
 
@@ -218,12 +218,12 @@ class TestMetadata:
         assert "# alpha_pairwise=0.001" in lines
 
     def test_config_validation(self):
-        config = ReportConfig(alpha_pairwise=0.7)
-        with pytest.raises(ValueError):
-            config.validate()
-        config = ReportConfig(bootstrap_m=0)
-        with pytest.raises(ValueError):
-            config.validate()
+        with pytest.raises(BadConfigValue, match="alpha_pairwise must lie in"):
+            ReportConfig(alpha_pairwise=0.7)
+        with pytest.raises(BadConfigValue, match="bootstrap_m must be positive"):
+            dataclasses.replace(ReportConfig(), bootstrap_m=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ReportConfig().seed = 5
 
 
 class TestAgreementRendering:

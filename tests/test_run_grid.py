@@ -10,13 +10,16 @@ unsolved rows, mix maximize and minimize sets and use metric 0.0.
 import csv
 import io
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planstats.agreement import judge_ranks
+from conftest import pset, run, simple_manifest
+from planstats.agreement import agreement_test, judge_rank_rows, judge_ranks
 from planstats.dataio import (
+    Category,
     Diagnostic,
     Level,
     Manifest,
@@ -37,8 +40,10 @@ from planstats.pairwise import (
     PlannerNotInLevel,
     build_pairs,
 )
+from planstats.hardness import subject_areas
 from planstats.ranking import WORST, is_worst
-from planstats.report import UnknownCell, fmt_float, series_csv
+from planstats.report import fmt_float, series_csv
+from planstats.scaling import agreed_difficulty, scaling_comparisons
 from test_ranking import reference_ranks
 
 PLANNERS = ("a", "b", "c")
@@ -152,7 +157,8 @@ def reference_validate(runs, manifest):
                 )
             )
             continue
-        if manifest.resolve(record.domain, record.level, record.problem) is None:
+        if not any(record.problem in s.problems
+                   for s in manifest.sets_at(level=record.level, domain=record.domain)):
             diagnostics.append(
                 Diagnostic(
                     "UnknownProblem",
@@ -309,7 +315,7 @@ def test_judge_ranks_and_series_equal_per_key_scan(dataset):
             assert got == reference_series(runs, manifest, ps.domain, ps.level, measure,
                                            ps.size_class)
     assert outcome(series_csv, table, manifest, "nowhere", Level.STRIPS, Measure.SPEED) \
-        is UnknownCell
+        is NoProblems
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,3 +385,27 @@ def test_grid_arrays_are_read_only():
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array
+
+
+# each analysis that reads one problem set, asked for a domain with none;
+# scaling reads only a verdict's classification, and both planners share
+# one in "d" and "nowhere", so both domains are eligible
+SHARED = {p: dict.fromkeys(("d", "nowhere"), SimpleNamespace(classification=None)) for p in "ab"}
+MISSING_SET_CALLS = {
+    "subject_areas": lambda runs, m: subject_areas(runs, m, ["a"], "nowhere", Level.STRIPS),
+    "judge_rank_rows": lambda runs, m: judge_rank_rows(runs, m, ["a"], "nowhere", Level.STRIPS),
+    "agreement_test": lambda runs, m: agreement_test(runs, m, "nowhere", Level.STRIPS),
+    "scaling_comparisons": lambda runs, m: scaling_comparisons(
+        runs, m, [("a", "b")], Level.STRIPS, SHARED,
+        agreed_difficulty(runs, m, Level.STRIPS, Category.FULLY_AUTOMATED)),
+    "series_csv": lambda runs, m: series_csv(runs, m, "nowhere", Level.STRIPS, Measure.SPEED),
+}
+
+
+@pytest.mark.parametrize("name", MISSING_SET_CALLS)
+def test_missing_problem_set_is_one_error(name):
+    manifest = simple_manifest({"a": ["strips"], "b": ["strips"]}, [pset("d", "strips", 3)])
+    runs = [run(p, "d", "strips", f"p{i:02d}", 10 * i) for p in ("a", "b") for i in (1, 2, 3)]
+    with pytest.raises(NoProblems) as exc:
+        MISSING_SET_CALLS[name](runs, manifest)
+    assert str(exc.value) == "no small problem set for nowhere/strips"
