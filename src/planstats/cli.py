@@ -53,7 +53,6 @@ from .dataio import (
 from .ordering import build_order, transitive_reduction
 from .pairwise import (
     Measure,
-    PairingMode,
     all_pairs,
     compare,  # noqa: F401  perfbench/test_perfbench.py checks tracing restores cli.compare
     compare_pairs,
@@ -235,17 +234,11 @@ def _pair_cells(args, manifest: Manifest):
                 yield names, level, measure, size, extra
 
 
-def _consistency(runs, manifest, names, level, measure, size):
-    """The cell's comparisons of every pair: at-least-one, then double-hits."""
-    pairs = all_pairs(names)
-    return [compare_pairs(runs, manifest, pairs, level, measure, mode, size)
-            for mode in (PairingMode.AT_LEAST_ONE, PairingMode.DOUBLE_HITS)]
-
-
 def _pair_results(runs, manifest, names, level, measure, size):
-    alo, dh = _consistency(runs, manifest, names, level, measure, size)
+    pairs = all_pairs(names)
+    alo, dh = compare_pairs(runs, manifest, pairs, level, measure, size)
     mags = []
-    for a, b in all_pairs(names):
+    for a, b in pairs:
         try:
             mags.append(magnitude(runs, manifest, a, b, level, measure, size))
         except (TooFewPairs, NonPositiveValue):
@@ -277,7 +270,7 @@ def cmd_compare(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
 
 def cmd_order(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     for names, level, measure, size, extra in _pair_cells(args, manifest):
-        alo, dh = _consistency(runs, manifest, names, level, measure, size)
+        alo, dh = compare_pairs(runs, manifest, all_pairs(names), level, measure, size)
         order = build_order(alo + dh, alpha=config.alpha_pairwise)
         if args.reduce:
             order = transitive_reduction(order)

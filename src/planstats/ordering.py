@@ -203,7 +203,7 @@ def transitive_reduction(order: PartialOrder) -> PartialOrder:
         seen = {start}
         while stack:
             node = stack.pop()
-            for nxt in adjacency.get(node, ()):  # noqa: B905
+            for nxt in adjacency.get(node, ()):
                 if (node, nxt) == skip:
                     continue
                 if nxt == goal:

@@ -5,9 +5,9 @@ WORST sentinel ("infinitely bad"), which the rank-based tests push to the
 extreme of the ranking.  Consistency is tested with the Wilcoxon
 matched-pairs rank-sum test plus a win-proportion Z-test; magnitude with
 a pair-mean-normalized paired t-test restricted to double hits (problems
-solved by both planners).  The consistency tests of a cell's pairs run in
-one pass over its planner × problem grid (:func:`compare_pairs`); the
-magnitude test runs per pair.
+solved by both planners).  The consistency tests of a cell's pairs, in
+both pairing modes, run in one pass over its planner × problem grid
+(:func:`compare_pairs`); the magnitude test runs per pair.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataio import Level, Manifest, NoProblems, QualityDirection, RunRecord, RunTable, SizeClass
 from .distributions import DomainError
-from .ranking import WORST, is_worst
+from .ranking import WORST
 from .stattests import (
     Favored,
     PairedTResult,
@@ -124,9 +124,10 @@ def _check_entered(manifest: Manifest, name: str, level: Level) -> None:
         raise PlannerNotInLevel(f"planner {name!r} did not enter level {level.value}")
 
 
-def _matched(runs, manifest, pairs, level, measure, mode, size_class, *, negate_maximize=True):
+def _matched(runs, manifest, pairs, level, measure, size_class, *, negate_maximize=True):
     """Each pair's values over the cell's problems as two pair × problem
-    arrays, first and second planner, and which problems ``mode`` keeps.
+    arrays, first and second planner, and each pairing mode's mask of the
+    problems it keeps.
 
     Maximize metrics are negated if asked, and a missing value is WORST.
 
@@ -146,12 +147,12 @@ def _matched(runs, manifest, pairs, level, measure, mode, size_class, *, negate_
         values = np.where(grid.maximize, -values, values)
     values = np.where(np.isnan(values), WORST, values)
     va, vb = values[0::2], values[1::2]
-    if mode is PairingMode.DOUBLE_HITS:
-        keep = (va != WORST) & (vb != WORST)
-    else:
-        solved = grid.solved[rows]
-        keep = solved[0::2] | solved[1::2]
-    return va, vb, keep
+    solved = grid.solved[rows]
+    keeps = {
+        PairingMode.AT_LEAST_ONE: solved[0::2] | solved[1::2],
+        PairingMode.DOUBLE_HITS: (va != WORST) & (vb != WORST),
+    }
+    return va, vb, keeps
 
 
 def build_pairs(
@@ -178,29 +179,10 @@ def build_pairs(
         PlannerNotInLevel: if either planner did not enter the level.
         NoProblems: if the level/size class has no problem sets.
     """
-    va, vb, keep = _matched(
-        runs, manifest, [(a, b)], level, measure, mode, size_class,
-        negate_maximize=negate_maximize,
+    va, vb, keeps = _matched(
+        runs, manifest, [(a, b)], level, measure, size_class, negate_maximize=negate_maximize
     )
-    return list(zip(va[keep].tolist(), vb[keep].tolist()))
-
-
-def pair_difference(va: float, vb: float) -> float:
-    """Signed difference (value_b - value_a); positive favors the first planner.
-
-    Built case-wise so WORST values never meet in arithmetic: a pair with
-    exactly one WORST side becomes an infinite-magnitude win for the
-    solver, and a double-WORST pair is a tie (zero).
-    """
-    worst_a = is_worst(va)
-    worst_b = is_worst(vb)
-    if worst_a and worst_b:
-        return 0.0
-    if worst_b:
-        return math.inf
-    if worst_a:
-        return -math.inf
-    return vb - va
+    return list(zip(va[keeps[mode]].tolist(), vb[keeps[mode]].tolist()))
 
 
 def compare_pairs(
@@ -209,31 +191,40 @@ def compare_pairs(
     pairs: Sequence[tuple[str, str]],
     level: Level,
     measure: Measure,
-    mode: PairingMode,
     size_class: SizeClass = SizeClass.SMALL,
-) -> list[ComparisonResult]:
-    """:func:`compare` for every listed pair of one cell, in one pass.
+) -> tuple[list[ComparisonResult], list[ComparisonResult]]:
+    """:func:`compare` for every listed pair of one cell, in both pairing
+    modes, in one pass.
 
-    One pair × problem matrix holds each pair's signed differences, built
-    by :func:`pair_difference`'s case rule, with the problems the pairing
-    mode leaves out set to zero; :func:`wilcoxon_rows` ranks every row at
-    once.  Returns one result per pair, in the order of ``pairs``.
+    Each pair's signed difference on a problem is value_b - value_a, so a
+    positive one favors the first planner.  It is built case-wise, so
+    WORST values never meet in arithmetic: a pair with exactly one WORST
+    side is an infinite-magnitude win for the solver, and a pair with two
+    WORST sides ties at zero.  The pair × problem difference matrix is
+    stacked once per pairing mode, with the problems that mode leaves out
+    set to zero, and :func:`wilcoxon_rows` ranks every row at once.
+
+    Returns:
+        The at-least-one results and the double-hits results, each with
+        one result per pair, in the order of ``pairs``.
 
     Raises:
         PlannerNotInLevel: if a planner of a pair did not enter the level.
         NoProblems: if the level/size class has no problem sets.
     """
-    va, vb, keep = _matched(runs, manifest, pairs, level, measure, mode, size_class)
+    va, vb, keeps = _matched(runs, manifest, pairs, level, measure, size_class)
     worst_a, worst_b = va == WORST, vb == WORST
     with np.errstate(invalid="ignore"):
         diffs = np.where(worst_a, -math.inf, np.where(worst_b, math.inf, vb - va))
-    diffs[(worst_a & worst_b) | ~keep] = 0.0
+    diffs[worst_a & worst_b] = 0.0
+    keep = np.concatenate([keeps[mode] for mode in PairingMode])
+    diffs = np.where(keep, np.concatenate([diffs] * len(PairingMode)), 0.0)
     n = keep.sum(axis=1).tolist()
     wins_a = (diffs > 0).sum(axis=1).tolist()
     wins_b = (diffs < 0).sum(axis=1).tolist()
     results = []
-    for (a, b), wilcoxon, n_pair, won_a, won_b in zip(
-        pairs, wilcoxon_rows(diffs, n), n, wins_a, wins_b
+    for (mode, (a, b)), wilcoxon, n_pair, won_a, won_b in zip(
+        itertools.product(PairingMode, pairs), wilcoxon_rows(diffs, n), n, wins_a, wins_b
     ):
         if won_a + won_b == 0:
             proportion = ProportionResult(wins=0, n=0, z=0.0, p_two_sided=1.0)
@@ -261,7 +252,7 @@ def compare_pairs(
                 too_small=too_small,
             )
         )
-    return results
+    return results[: len(pairs)], results[len(pairs):]
 
 
 def compare(
@@ -281,7 +272,8 @@ def compare(
     Samples below MIN_REPORTABLE_PAIRS are flagged ``too_small`` (they are
     reported, but barred from partial orders).
     """
-    return compare_pairs(runs, manifest, [(a, b)], level, measure, mode, size_class)[0]
+    alo, dh = compare_pairs(runs, manifest, [(a, b)], level, measure, size_class)
+    return (alo if mode is PairingMode.AT_LEAST_ONE else dh)[0]
 
 
 def magnitude(

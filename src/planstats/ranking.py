@@ -24,10 +24,6 @@ class EmptyInput(ValueError):
     """Raised when an operation needs at least one value."""
 
 
-def is_worst(value: float) -> bool:
-    return value == WORST
-
-
 def mid_ranks(matrix) -> np.ndarray:
     """Ascending ranks of each row of a matrix, with mid-rank ties.
 

@@ -32,7 +32,7 @@ from .distributions import (
     two_sided_p_from_t,
     two_sided_p_from_z,
 )
-from .ranking import EmptyInput, mid_ranks, rank_ascending
+from .ranking import EmptyInput, mid_ranks
 
 
 class DegenerateStatisticWarning(UserWarning):
@@ -262,7 +262,7 @@ def wilcoxon_exact_p(differences: Sequence[float], mid_p: bool = True) -> float:
         raise TooLarge(f"exact enumeration limited to 20 nonzero differences, got {m}")
     if m == 0:
         return 1.0
-    ranks = rank_ascending([abs(d) for d in nonzero])
+    ranks = mid_ranks([[abs(d) for d in nonzero]])[0].tolist()
     # mid-ranks over m items are multiples of 1/2: double to get integers
     doubled = [round(2 * r) for r in ranks]
     total = m * (m + 1)  # sum of doubled ranks

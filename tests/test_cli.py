@@ -203,6 +203,26 @@ class TestPairBuilding:
         assert list(tmp_path.glob("order_*.dot"))
         assert calls == []
 
+    @pytest.mark.parametrize("command, flags, written", [
+        ("compare", (), "compare_*.txt"),
+        ("order", (), "order_*.dot"),
+        ("order", ("--cross",), "order_*.dot"),
+    ])
+    def test_one_rank_pass_per_cell(self, tmp_path, monkeypatch, command, flags, written):
+        """Both pairing modes of a cell are ranked in one wilcoxon_rows call."""
+        calls = []
+        wilcoxon_rows = pairwise.wilcoxon_rows
+
+        def counting(differences, n_input):
+            calls.append(len(differences))
+            return wilcoxon_rows(differences, n_input)
+
+        monkeypatch.setattr(pairwise, "wilcoxon_rows", counting)
+        assert invoke(command, *common(tmp_path, *flags)) == 0
+        cells = list(tmp_path.glob(written))
+        assert cells
+        assert len(calls) == len(cells)
+
 
 class TestCompareCommand:
     def test_outputs_written_with_metadata(self, tmp_path):

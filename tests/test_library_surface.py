@@ -8,7 +8,10 @@ somewhere in ``src/``, ``scripts/`` or ``perfbench/``.  A public method
 or property of a class there must be read as an attribute by code in
 ``src/``; ``scripts/`` and ``perfbench/`` are not counted, as their
 ``pathlib`` calls would hide a method such as ``resolve``.  ``KEPT`` names
-the exceptions.  The modules are read with ``ast``; nothing is imported.
+the exceptions.  A module of ``src/planstats/`` other than
+``__init__.py`` must use every name it imports, unless the import line is
+marked ``# noqa: F401``.  The modules are read with ``ast``; nothing is
+imported.
 """
 
 import ast
@@ -20,8 +23,6 @@ PACKAGE = ROOT / "src" / "planstats"
 # module.name or module.Class.name -> why it stays unused
 KEPT = {
     "hardness.percentile_of": "README documents it as a one-row call",
-    "pairwise.pair_difference": "the scalar reference that "
-    "test_compare_pairs_matches_per_pair_composition checks compare_pairs against",
 }
 
 
@@ -94,12 +95,38 @@ def unused() -> set[str]:
     return out
 
 
+def unused_imports() -> set[str]:
+    """module.name of each name a module of src/planstats/, other than
+    __init__.py, imports and never loads, leaving out __future__ imports
+    and import lines marked ``# noqa: F401``."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = _tree(path)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        out.add(f"{path.stem}.{name}")
+    return out
+
+
 def test_every_public_definition_is_used():
     assert unused() == {name for name in KEPT if name.count(".") == 1}
 
 
 def test_every_public_method_is_used():
     assert unused_methods() == {name for name in KEPT if name.count(".") == 2}
+
+
+def test_every_import_is_used():
+    assert unused_imports() == set()
 
 
 def test_readme_library_example_imports_exported_names():

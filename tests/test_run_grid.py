@@ -41,7 +41,7 @@ from planstats.pairwise import (
     build_pairs,
 )
 from planstats.hardness import subject_areas
-from planstats.ranking import WORST, is_worst
+from planstats.ranking import WORST
 from planstats.report import fmt_float, series_csv
 from planstats.scaling import agreed_difficulty, scaling_comparisons
 from test_ranking import reference_ranks
@@ -101,7 +101,7 @@ def reference_pairs(runs, manifest, a, b, level, measure, mode, size_class, nega
                 continue
             va = measure_value(rec_a, measure, ps.quality_direction, negate_maximize)
             vb = measure_value(rec_b, measure, ps.quality_direction, negate_maximize)
-            if mode is PairingMode.DOUBLE_HITS and (is_worst(va) or is_worst(vb)):
+            if mode is PairingMode.DOUBLE_HITS and (va == WORST or vb == WORST):
                 continue
             pairs.append((va, vb))
     return pairs
