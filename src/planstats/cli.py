@@ -18,8 +18,8 @@ command's --alpha if given.  :func:`main` is the two in a row;
 of an analysis on it, so they share one ``RunTable`` and its grids.
 
 Exit codes: 0 success, 2 input validation failure or a flag the command
-does not take (diagnostics on stderr), 3 degenerate-statistics warning
-escalated by --strict.
+does not take (diagnostics on stderr), 3 under --strict when a table
+written holds a degenerate statistic (an infinite t or F).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import math
 import sys
-import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -75,7 +75,7 @@ from .report import (
     scaling_csv_rows,
     series_csv,
 )
-from .stattests import DegenerateStatisticWarning, NonPositiveValue, TooFewPairs
+from .stattests import NonPositiveValue, TooFewPairs
 
 CATEGORIES = {"auto": Category.FULLY_AUTOMATED, "hand": Category.HAND_CODED}
 # the config field --alpha sets; other commands set alpha_pairwise
@@ -246,6 +246,16 @@ def _pair_results(runs, manifest, names, level, measure, size):
     return alo, dh, mags
 
 
+def _degenerate_exit(args, count: int) -> int:
+    """Note on stderr the ``count`` of degenerate statistics (infinite t or
+    F) in the tables a command wrote; exit code 3 for any under --strict,
+    else 0."""
+    if count == 0:
+        return 0
+    print(f"note: {count} degenerate statistic(s) encountered", file=sys.stderr)
+    return 3 if args.strict else 0
+
+
 def cmd_validate(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
     for d in diagnostics:
         stream = sys.stderr if d.severity == "error" else sys.stdout
@@ -256,6 +266,7 @@ def cmd_validate(args, config, runs, manifest, diagnostics, dataset_hash) -> int
 
 
 def cmd_compare(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
+    degenerate = 0
     for names, level, measure, size, extra in _pair_cells(args, manifest):
         alo, dh, mags = _pair_results(runs, manifest, names, level, measure, size)
         text = render_compare_text(alo, dh, mags, config.alpha_pairwise, config.alpha_magnitude)
@@ -263,9 +274,11 @@ def cmd_compare(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
         header = _write_table(
             args, config, dataset_hash, extra, text, comparisons_csv_rows(alo + dh)
         )
-        mag_rows = magnitudes_csv_rows([m for m in mags if m is not None])
+        written = [m for m in mags if m is not None]
+        degenerate += sum(math.isinf(m.t_result.t) for m in written)
+        mag_rows = magnitudes_csv_rows(written)
         _write(args, f"{_stem('magnitude', extra)}.csv", csv_text(mag_rows, header))
-    return 0
+    return _degenerate_exit(args, degenerate)
 
 
 def cmd_order(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
@@ -308,7 +321,7 @@ def cmd_agreement(args, config, runs, manifest, diagnostics, dataset_hash) -> in
         extra["size"] = args.size
     text = render_agreement_text(results)
     _write_table(args, config, dataset_hash, extra, text, agreement_csv_rows(results))
-    return 0
+    return _degenerate_exit(args, sum(math.isinf(r.mrc.F) for r in results))
 
 
 def cmd_scaling(args, config, runs, manifest, diagnostics, dataset_hash) -> int:
@@ -421,15 +434,7 @@ def run_command(session: Session, args: argparse.Namespace) -> int:
         for d in errors:
             print(f"ERROR {d.kind}: {d.message}", file=sys.stderr)
         return 2
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = COMMANDS[args.command][0](args, *session)
-    degenerate = [w for w in caught if issubclass(w.category, DegenerateStatisticWarning)]
-    if degenerate:
-        print(f"note: {len(degenerate)} degenerate statistic(s) encountered", file=sys.stderr)
-        if getattr(args, "strict", False) and rc == 0:
-            return 3
-    return rc
+    return COMMANDS[args.command][0](args, *session)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -132,7 +132,6 @@ class BootstrapDistribution:
     m: int
     cutoff_ms: int
     seed: int
-    rng: str = RNG_NAME
     _ordered: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -27,14 +27,6 @@ class ConflictingComparisons(ValueError):
     """Two differing comparison results were supplied for the same cell."""
 
 
-class AntisymmetryViolation(ValueError):
-    """Solid edges in both directions for one pair."""
-
-    def __init__(self, pair: tuple[str, str]):
-        super().__init__(f"solid edges in both directions between {pair[0]} and {pair[1]}")
-        self.pair = pair
-
-
 class EdgeKind(enum.Enum):
     SOLID = "solid"
     DOTTED = "dotted"
@@ -157,9 +149,6 @@ def build_order(comparisons: Sequence[ComparisonResult], alpha: float = DEFAULT_
                         )
 
     solid_set = {(e.src, e.dst) for e in edges if e.kind is EdgeKind.SOLID}
-    for src, dst in solid_set:
-        if (dst, src) in solid_set:
-            raise AntisymmetryViolation(tuple(sorted((src, dst))))
     annotations.extend(_intransitive_triples(solid_set))
 
     kind_order = {EdgeKind.SOLID: 0, EdgeKind.DOTTED: 1, EdgeKind.DASHED: 2}

@@ -124,12 +124,13 @@ def _check_entered(manifest: Manifest, name: str, level: Level) -> None:
         raise PlannerNotInLevel(f"planner {name!r} did not enter level {level.value}")
 
 
-def _matched(runs, manifest, pairs, level, measure, size_class, *, negate_maximize=True):
+def _matched(runs, manifest, pairs, level, measure, size_class):
     """Each pair's values over the cell's problems as two pair × problem
-    arrays, first and second planner, and each pairing mode's mask of the
-    problems it keeps.
+    arrays, first and second planner, each pairing mode's mask of the
+    problems it keeps, and the mask of the problems where a larger value
+    is better (only a maximize metric's).
 
-    Maximize metrics are negated if asked, and a missing value is WORST.
+    Values are as recorded, and a missing value is WORST.
 
     Raises:
         PlannerNotInLevel: if a planner of a pair did not enter the level.
@@ -143,8 +144,6 @@ def _matched(runs, manifest, pairs, level, measure, size_class, *, negate_maximi
         raise NoProblems(f"no {size_class.value} problem sets at level {level.value}")
     rows = [grid.rows[name] for pair in pairs for name in pair]
     values = grid.values[MEASURE_FIELDS[measure]][rows]
-    if measure is Measure.QUALITY_METRIC and negate_maximize:
-        values = np.where(grid.maximize, -values, values)
     values = np.where(np.isnan(values), WORST, values)
     va, vb = values[0::2], values[1::2]
     solved = grid.solved[rows]
@@ -152,7 +151,8 @@ def _matched(runs, manifest, pairs, level, measure, size_class, *, negate_maximi
         PairingMode.AT_LEAST_ONE: solved[0::2] | solved[1::2],
         PairingMode.DOUBLE_HITS: (va != WORST) & (vb != WORST),
     }
-    return va, vb, keeps
+    maximize = grid.maximize if measure is Measure.QUALITY_METRIC else False
+    return va, vb, keeps, maximize
 
 
 def build_pairs(
@@ -164,24 +164,19 @@ def build_pairs(
     measure: Measure,
     mode: PairingMode,
     size_class: SizeClass = SizeClass.SMALL,
-    *,
-    negate_maximize: bool = True,
 ) -> list[tuple[float, float]]:
-    """Matched value pairs (value_a, value_b) over the level's problems.
+    """Matched value pairs (value_a, value_b) over the level's problems,
+    as recorded, whichever direction is better.
 
     AT_LEAST_ONE yields one pair per problem solved by a or b, with WORST
     on an unsolved side (and on a solved side missing the quality field).
     DOUBLE_HITS keeps only problems where both sides have a finite value.
-    Maximize-direction metrics are negated (unless ``negate_maximize`` is
-    False) so that smaller is always better internally.
 
     Raises:
         PlannerNotInLevel: if either planner did not enter the level.
         NoProblems: if the level/size class has no problem sets.
     """
-    va, vb, keeps = _matched(
-        runs, manifest, [(a, b)], level, measure, size_class, negate_maximize=negate_maximize
-    )
+    va, vb, keeps, _ = _matched(runs, manifest, [(a, b)], level, measure, size_class)
     return list(zip(va[keeps[mode]].tolist(), vb[keeps[mode]].tolist()))
 
 
@@ -196,8 +191,9 @@ def compare_pairs(
     """:func:`compare` for every listed pair of one cell, in both pairing
     modes, in one pass.
 
-    Each pair's signed difference on a problem is value_b - value_a, so a
-    positive one favors the first planner.  It is built case-wise, so
+    Each pair's signed difference on a problem is value_b - value_a, or
+    value_a - value_b where a larger value is better, so a positive one
+    favors the first planner.  It is built case-wise, so
     WORST values never meet in arithmetic: a pair with exactly one WORST
     side is an infinite-magnitude win for the solver, and a pair with two
     WORST sides ties at zero.  The pair × problem difference matrix is
@@ -212,10 +208,11 @@ def compare_pairs(
         PlannerNotInLevel: if a planner of a pair did not enter the level.
         NoProblems: if the level/size class has no problem sets.
     """
-    va, vb, keeps = _matched(runs, manifest, pairs, level, measure, size_class)
+    va, vb, keeps, maximize = _matched(runs, manifest, pairs, level, measure, size_class)
     worst_a, worst_b = va == WORST, vb == WORST
     with np.errstate(invalid="ignore"):
-        diffs = np.where(worst_a, -math.inf, np.where(worst_b, math.inf, vb - va))
+        finite = np.where(maximize, va - vb, vb - va)
+        diffs = np.where(worst_a, -math.inf, np.where(worst_b, math.inf, finite))
     diffs[worst_a & worst_b] = 0.0
     keep = np.concatenate([keeps[mode] for mode in PairingMode])
     diffs = np.where(keep, np.concatenate([diffs] * len(PairingMode)), 0.0)
@@ -287,7 +284,7 @@ def magnitude(
 ) -> MagnitudeResult:
     """Pair-mean-normalized paired t-test over double hits only.
 
-    Values are used raw (no maximize negation): the normalization needs
+    Values are used as recorded: the normalization needs
     strictly positive inputs, so for maximize-direction metrics a
     normalized mean below 1 is the *worse* side and reports must invert
     the reading (the result carries the direction).
@@ -295,17 +292,7 @@ def magnitude(
     Raises:
         TooFewPairs: with fewer than two double hits.
     """
-    pairs = build_pairs(
-        runs,
-        manifest,
-        a,
-        b,
-        level,
-        measure,
-        PairingMode.DOUBLE_HITS,
-        size_class,
-        negate_maximize=False,
-    )
+    pairs = build_pairs(runs, manifest, a, b, level, measure, PairingMode.DOUBLE_HITS, size_class)
     if len(pairs) < 2:
         raise TooFewPairs(
             f"{a} vs {b} at {level.value}/{measure.value}: "

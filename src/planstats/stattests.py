@@ -10,8 +10,9 @@ matrices (:func:`spearman_rows`), so a level's scaling pairs are too.
 
 Sign conventions: a *positive* difference in the Wilcoxon test is a win
 for the first subject; degenerate statistics (zero variance, perfect
-agreement) are represented as infinite t/F with p = 0, never as errors,
-because real competition data produces them.
+agreement) are represented as infinite t/F with p = 0, never as errors
+or warnings, because real competition data produces them.  The result
+is their only statement: a caller counts them from the t and F it gets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import enum
 import functools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,14 +33,6 @@ from .distributions import (
     two_sided_p_from_z,
 )
 from .ranking import EmptyInput, mid_ranks
-
-
-class DegenerateStatisticWarning(UserWarning):
-    """A test produced an infinite statistic (zero residual variation)."""
-
-
-class SmallSampleWarning(UserWarning):
-    """Sample too small for the normal approximation to be reliable."""
 
 
 class Favored(enum.Enum):
@@ -334,11 +326,6 @@ def paired_t_normalized(pairs: Sequence[tuple[float, float]]) -> PairedTResult:
         else:
             t = math.copysign(math.inf, d_bar)
             p = 0.0
-            warnings.warn(
-                "paired t-test degenerate: zero variance with nonzero mean difference",
-                DegenerateStatisticWarning,
-                stacklevel=2,
-            )
     else:
         t = d_bar / (s / math.sqrt(n))
         p = two_sided_p_from_t(t, df)
@@ -358,9 +345,8 @@ def spearman_test(x_ranks: Sequence[float], y_ranks: Sequence[float]) -> Spearma
     """Spearman rank correlation test on two parallel rank vectors.
 
     R is the sum of squared per-position rank differences and
-    z = (6R - n(n^2-1)) / (n(n+1) sqrt(n-1)).  Below n = 10 a
-    SmallSampleWarning is emitted alongside the result.  This is a
-    one-row call of :func:`spearman_rows`.
+    z = (6R - n(n^2-1)) / (n(n+1) sqrt(n-1)).  This is a one-row call of
+    :func:`spearman_rows`.
 
     Raises:
         LengthMismatch: if the vectors differ in length.
@@ -380,8 +366,6 @@ def spearman_rows(x_ranks: np.ndarray, y_ranks: np.ndarray) -> list[SpearmanResu
     row i is the test of the two rows' other entries.  Ranks are
     half-integers, so each R is exact in any summation order, and each
     row's z and p go through the same scalar formulas as a single test.
-    A SmallSampleWarning is emitted for each row with n < 10, in row
-    order.
 
     Raises:
         LengthMismatch: if the matrices differ in shape.
@@ -401,12 +385,6 @@ def spearman_rows(x_ranks: np.ndarray, y_ranks: np.ndarray) -> list[SpearmanResu
     )
     results = []
     for n, big_r, degenerate in zip(ns, big_rs, constant.tolist()):
-        if n < 10:
-            warnings.warn(
-                f"spearman_test with n={n} < 10: normal approximation unreliable",
-                SmallSampleWarning,
-                stacklevel=2,
-            )
         if degenerate:
             z = 0.0
         else:
@@ -459,12 +437,6 @@ def mrc_test(rank_matrix: Sequence[Sequence[float]]) -> MrcResult:
     if d2 == 0.0:
         f_stat = math.inf if d1 > 0 else 0.0
         p = 0.0 if d1 > 0 else 1.0
-        if d1 > 0:
-            warnings.warn(
-                "agreement test degenerate: perfect agreement gives infinite F",
-                DegenerateStatisticWarning,
-                stacklevel=2,
-            )
     else:
         f_stat = s1_sq / s2_sq
         p = 1.0 - f_cdf(f_stat, df[0], df[1])

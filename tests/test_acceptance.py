@@ -127,7 +127,6 @@ def test_spearman_identities():
 
 
 @criterion("mrc-maximality-and-worked-example")
-@pytest.mark.filterwarnings("ignore::planstats.stattests.DegenerateStatisticWarning")
 def test_mrc_maximality():
     for k in range(2, 6):
         identity = list(range(1, k + 1))

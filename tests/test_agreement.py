@@ -18,7 +18,7 @@ from planstats.agreement import (
 )
 from planstats.dataio import Category, Level, SizeClass
 from planstats.pairwise import PlannerNotInLevel
-from planstats.stattests import DegenerateStatisticWarning, mrc_test
+from planstats.stattests import mrc_test
 
 AUTO = Category.FULLY_AUTOMATED
 
@@ -90,8 +90,7 @@ class TestJudgeRanks:
 class TestAgreementTest:
     def test_identical_orderings_infinite_f(self):
         runs, manifest = cell_dataset({"a": [10, 20, 30], "b": [1, 2, 3]})
-        with pytest.warns(DegenerateStatisticWarning):
-            r = agreement_test(runs, manifest, "d", Level.STRIPS)
+        r = agreement_test(runs, manifest, "d", Level.STRIPS)
         assert math.isinf(r.mrc.F)
         assert r.significant
 
@@ -113,7 +112,6 @@ class TestAgreementTest:
         assert r.k == 22
         assert len(r.judges) == 6
 
-    @pytest.mark.filterwarnings("ignore::planstats.stattests.DegenerateStatisticWarning")
     def test_judge_below_half_attempts_excluded(self):
         runs, manifest = cell_dataset(
             {
@@ -181,7 +179,6 @@ class TestAgreementTest:
         assert total / trials <= f_base
 
 
-@pytest.mark.filterwarnings("ignore::planstats.stattests.DegenerateStatisticWarning")
 class TestAgreementTable:
     def test_grid_covers_populated_cells(self):
         manifest = simple_manifest(

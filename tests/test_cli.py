@@ -505,16 +505,22 @@ class TestStrictMode:
         header = "planner,domain,level,problem,solved,time_ms,metric_value,seq_length,conc_length"
         rows = [header]
         for i in range(1, 11):
-            # b exactly 3x a with dyadic a: normalized pairs are exactly
-            # (0.5, 1.5) so the t-test variance is exactly zero
+            # b and c exactly 3x and 5x a with dyadic a: the normalized
+            # pairs of a-b and b-c are exactly (0.5, 1.5) and (0.75, 1.25),
+            # so their t-test variance is exactly zero.  a-c's (1/3, 5/3)
+            # round, so does their mean difference, and its t is finite
+            # (about -1.8e16).  All three judges order the problems alike:
+            # infinite F
             rows.append(f"a,d,strips,p{i:02d},1,{2 ** i},,,")
             rows.append(f"b,d,strips,p{i:02d},1,{3 * 2 ** i},,,")
+            rows.append(f"c,d,strips,p{i:02d},1,{5 * 2 ** i},,,")
         runs.write_text("\n".join(rows) + "\n")
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
             "planners": [
                 {"name": "a", "category": "fully-automated", "levels": ["strips"]},
                 {"name": "b", "category": "fully-automated", "levels": ["strips"]},
+                {"name": "c", "category": "fully-automated", "levels": ["strips"]},
             ],
             "problem_sets": [{
                 "domain": "d", "level": "strips", "size_class": "small",
@@ -531,6 +537,32 @@ class TestStrictMode:
         assert main(["compare", *args]) == 0
         assert "degenerate" in capsys.readouterr().err
         assert main(["compare", *args, "--strict"]) == 3
+        assert main(["agreement", *args]) == 0
+        assert "degenerate" in capsys.readouterr().err
+        assert main(["agreement", *args, "--strict"]) == 3
+
+    @staticmethod
+    def _column(path, name):
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        header, *rows = csv.reader(lines)
+        return [row[header.index(name)] for row in rows]
+
+    @staticmethod
+    def _noted(err):
+        (count,) = re.findall(r"^note: (\d+) degenerate statistic\(s\) encountered$", err, re.M)
+        return int(count)
+
+    def test_note_counts_the_infinite_statistics_written(self, tmp_path, capsys):
+        runs, manifest = self._degenerate_dataset(tmp_path)
+        args = ["--runs", runs, "--manifest", manifest, "--out", str(tmp_path)]
+        assert main(["compare", *args]) == 0
+        t_cells = [t for path in sorted(tmp_path.glob("magnitude_*.csv"))
+                   for t in self._column(path, "t")]
+        infinite = sum(t in ("inf", "-inf") for t in t_cells)
+        assert self._noted(capsys.readouterr().err) == infinite == 2
+        assert main(["agreement", *args]) == 0
+        f_cells = self._column(tmp_path / "agreement_auto.csv", "F")
+        assert self._noted(capsys.readouterr().err) == f_cells.count("inf") == 1
 
 
 class TestConfigFile:

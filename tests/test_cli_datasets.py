@@ -1,5 +1,5 @@
-"""Every command on generated datasets: no traceback, a documented exit
-code, and the same bytes in any row or planner order.
+"""Every command on generated datasets: no traceback, no warning, a
+documented exit code, and the same bytes in any row or planner order.
 
 Each example draws a whole small dataset: 1-4 fully-automated and 0-2
 hand-coded planners, each entering 1-3 levels, and 1-3 domains whose sets
@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -89,7 +90,9 @@ def commands_for(doc):
 
 def run_all(work: Path, lines, doc, commands):
     """Each command's exit code and the files it wrote, every
-    ``dataset_sha256=`` header line dropped: it hashes the input bytes."""
+    ``dataset_sha256=`` header line dropped: it hashes the input bytes.
+    A warning raised anywhere in the session fails the test, since it
+    would reach the user's stderr."""
     work.mkdir()
     (work / "runs.csv").write_text("\n".join([",".join(RUNS_HEADER), *lines]) + "\n")
     (work / "manifest.json").write_text(json.dumps(doc))
@@ -97,18 +100,21 @@ def run_all(work: Path, lines, doc, commands):
     base = ["--runs", str(work / "runs.csv"), "--manifest", str(work / "manifest.json"),
             "--config", str(work / "config.txt")]
     parser = cli.build_parser()
-    session = cli.open_session(parser.parse_args(["validate", *base]))
-    assert not isinstance(session, int)
     codes, outputs = [], {}
-    for k, command in enumerate(commands):
-        out = work / f"c{k:02d}"
-        args = parser.parse_args([*command, *base, "--out", str(out)])
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes.append(cli.run_command(session, args))
-        for path in sorted(out.glob("*")):
-            text = path.read_text(encoding="utf-8")
-            outputs[k, path.name] = [line for line in text.splitlines(keepends=True)
-                                     if "dataset_sha256=" not in line]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        session = cli.open_session(parser.parse_args(["validate", *base]))
+        assert not isinstance(session, int)
+        for k, command in enumerate(commands):
+            out = work / f"c{k:02d}"
+            args = parser.parse_args([*command, *base, "--out", str(out)])
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(io.StringIO())):
+                codes.append(cli.run_command(session, args))
+            for path in sorted(out.glob("*")):
+                text = path.read_text(encoding="utf-8")
+                outputs[k, path.name] = [line for line in text.splitlines(keepends=True)
+                                         if "dataset_sha256=" not in line]
     return codes, outputs
 
 

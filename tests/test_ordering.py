@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planstats.dataio import Level, SizeClass
 from planstats.ordering import (
@@ -178,6 +181,43 @@ class TestBuildOrder:
         c = make_comparison("A", "B", wilcoxon_p=1e-5, favored=Favored.FIRST)
         order = build_order([c, c], alpha=0.001)
         assert len(order.edges) == 1
+
+
+@st.composite
+def comparison_lists(draw):
+    """Comparisons among three planners, each pair in either name order,
+    in any pairing mode, direction and level, with exact and differing
+    repeats of a cell.  The draws lean towards significant at-least-one
+    results, the ones that make solid edges."""
+    levels = draw(st.sampled_from([(Level.STRIPS,)] * 3 + [(Level.STRIPS, Level.NUMERIC)]))
+
+    def comparison():
+        a, b = draw(st.sampled_from(list(itertools.permutations(("A", "B", "C"), 2))))
+        return make_comparison(
+            a,
+            b,
+            mode=draw(st.sampled_from([ALO, ALO, DH])),
+            wilcoxon_p=draw(st.sampled_from([1e-6, 1e-6, 1e-6, 0.5])),
+            favored=draw(st.sampled_from([Favored.FIRST, Favored.SECOND] * 2 + [Favored.NONE])),
+            too_small=draw(st.sampled_from([False, False, False, True])),
+            level=draw(st.sampled_from(levels)),
+        )
+
+    pool = [comparison() for _ in range(draw(st.integers(2, 4)))]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=500)
+@given(comparison_lists())
+def test_solid_edges_never_run_both_ways(comparisons):
+    """One at-least-one result per pair is all build_order keeps; a second,
+    differing one (the pair in the other name order too) is a conflict."""
+    try:
+        order = build_order(comparisons, alpha=0.001)
+    except (MixedLevels, ConflictingComparisons):
+        return
+    solid = {(e.src, e.dst) for e in order.edges if e.kind is EdgeKind.SOLID}
+    assert not solid & {(dst, src) for src, dst in solid}
 
 
 class TestDot:

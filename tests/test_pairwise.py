@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pset, run, simple_manifest
-from planstats.dataio import Level, SizeClass, parse_manifest
+from planstats.dataio import Level, Manifest, QualityDirection, SizeClass, parse_manifest
 from planstats.distributions import DomainError, two_sided_p_from_z
 from planstats.pairwise import (
     ALPHA_LADDER,
@@ -72,7 +72,7 @@ class TestBuildPairs:
         pairs = build_pairs(self._runs(), self._manifest(), "a", "b", STRIPS, Measure.SPEED, DH)
         assert pairs == [(20.0, 15.0)]
 
-    def test_maximize_direction_negated(self):
+    def test_maximize_values_as_recorded(self):
         manifest = simple_manifest(
             {"a": ["hardnumeric"], "b": ["hardnumeric"]},
             [pset("d", "hardnumeric", 2, direction="maximize")],
@@ -84,9 +84,10 @@ class TestBuildPairs:
         pairs = build_pairs(
             runs, manifest, "a", "b", Level.HARD_NUMERIC, Measure.QUALITY_METRIC, ALO
         )
-        assert pairs == [(-52.0, -73.0)]
-        # 73 wins: the difference favors the second planner
-        assert pair_difference(*pairs[0]) < 0
+        assert pairs == [(52.0, 73.0)]
+        # 73 wins: compare orients the difference, so it favors the second planner
+        result = compare(runs, manifest, "a", "b", Level.HARD_NUMERIC, Measure.QUALITY_METRIC, ALO)
+        assert result.favored_planner == "b"
 
     def test_metricless_solved_run_is_worst(self):
         runs = [
@@ -249,10 +250,17 @@ def _reference_wilcoxon(differences):
 
 
 def _reference_compare(runs, manifest, a, b, level, measure, mode):
-    """One pair's consistency tests composed per pair: build_pairs, then
-    pair_difference, the rank-sum test and the proportion test."""
-    pairs = build_pairs(runs, manifest, a, b, level, measure, mode)
-    diffs = [pair_difference(va, vb) for va, vb in pairs]
+    """One pair's consistency tests composed per pair: build_pairs over
+    each set, its values negated where the set maximizes the metric so
+    that lower is better, then pair_difference, the rank-sum test and the
+    proportion test."""
+    diffs = []
+    for ps in manifest.sets_at(level=level, size_class=SizeClass.SMALL):
+        one_set = Manifest(manifest.planners, (ps,))
+        sign = -1.0 if (measure is Measure.QUALITY_METRIC
+                        and ps.quality_direction is QualityDirection.MAXIMIZE) else 1.0
+        for va, vb in build_pairs(runs, one_set, a, b, level, measure, mode):
+            diffs.append(pair_difference(*(v if v == WORST else sign * v for v in (va, vb))))
     wins_a = sum(1 for d in diffs if d > 0)
     wins_b = sum(1 for d in diffs if d < 0)
     if wins_a + wins_b == 0:
@@ -260,12 +268,12 @@ def _reference_compare(runs, manifest, a, b, level, measure, mode):
     else:
         proportion = proportion_test(wins_a, wins_a + wins_b)
     wilcoxon = _reference_wilcoxon(diffs)
-    too_small = len(pairs) < MIN_REPORTABLE_PAIRS
+    too_small = len(diffs) < MIN_REPORTABLE_PAIRS
     significant_at = None
     if not too_small:
         significant_at = next((x for x in ALPHA_LADDER if wilcoxon.p_two_sided <= x), None)
     return ComparisonResult(
-        a, b, level, measure, mode, SizeClass.SMALL, len(pairs), wilcoxon, proportion,
+        a, b, level, measure, mode, SizeClass.SMALL, len(diffs), wilcoxon, proportion,
         significant_at, too_small,
     )
 

@@ -61,20 +61,11 @@ def solve_time(by_key, planner, domain, level, problem):
     return float(rec.time_ms) if rec is not None and rec.solved else None
 
 
-def measure_value(record, measure, direction, negate_maximize):
+def measure_value(record, measure):
     if record is None or not record.solved:
         return WORST
     field = getattr(record, MEASURE_FIELDS[measure])
-    if field is None:
-        return WORST
-    value = float(field)
-    if (
-        measure is Measure.QUALITY_METRIC
-        and direction is QualityDirection.MAXIMIZE
-        and negate_maximize
-    ):
-        return -value
-    return value
+    return WORST if field is None else float(field)
 
 
 def check_entered(manifest, name, level):
@@ -83,7 +74,7 @@ def check_entered(manifest, name, level):
         raise PlannerNotInLevel(name)
 
 
-def reference_pairs(runs, manifest, a, b, level, measure, mode, size_class, negate_maximize):
+def reference_pairs(runs, manifest, a, b, level, measure, mode, size_class):
     check_entered(manifest, a, level)
     check_entered(manifest, b, level)
     sets = manifest.sets_at(level=level, size_class=size_class)
@@ -99,8 +90,8 @@ def reference_pairs(runs, manifest, a, b, level, measure, mode, size_class, nega
             solved_b = rec_b is not None and rec_b.solved
             if not (solved_a or solved_b):
                 continue
-            va = measure_value(rec_a, measure, ps.quality_direction, negate_maximize)
-            vb = measure_value(rec_b, measure, ps.quality_direction, negate_maximize)
+            va = measure_value(rec_a, measure)
+            vb = measure_value(rec_b, measure)
             if mode is PairingMode.DOUBLE_HITS and (va == WORST or vb == WORST):
                 continue
             pairs.append((va, vb))
@@ -291,12 +282,9 @@ def test_build_pairs_equals_per_key_scan(dataset):
     runs, manifest = dataset
     table = RunTable.of(runs)
     for a, b in itertools.permutations(PLANNERS, 2):
-        for level, size, measure, mode, negate in itertools.product(
-            LEVELS, SizeClass, Measure, PairingMode, (True, False)
-        ):
+        for level, size, measure, mode in itertools.product(LEVELS, SizeClass, Measure, PairingMode):
             args = (manifest, a, b, level, measure, mode, size)
-            got = outcome(build_pairs, table, *args, negate_maximize=negate)
-            assert got == outcome(reference_pairs, runs, *args, negate), (args, negate)
+            assert outcome(build_pairs, table, *args) == outcome(reference_pairs, runs, *args), args
 
 
 @settings(max_examples=100, deadline=None)
