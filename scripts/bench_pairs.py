@@ -9,12 +9,16 @@ Each listed seed is one pair: ``perfbench/run.py --workload W --seed S
 that runs first alternates from pair to pair so that a drift of the host's
 speed does not favour either side.  The output file holds every run (pair,
 side, order within the pair, seed, the run's printed result line and its
-``check failed`` lines) and, per seed, each side's median and quartiles of
-every end-to-end metric and the number of pairs in which the change was
-better, by the metric's direction in BENCHMARK.json, the parent's IQR, the
-relative change of the medians and ``better_by_rule``: the change won at
-least nine tenths of the pairs and its median is better than the parent's
-by more than the parent's IQR.  Standard library only.
+``check failed`` lines) and a summary of every end-to-end metric, per seed
+and under ``"all"`` for every pair run, since the gain rule counts all
+pairs: each side's median and quartiles, the number of pairs in which the
+change was better, by the metric's direction in BENCHMARK.json, the
+parent's IQR, the relative change of the medians, ``better_by_rule``: the
+change won at least nine tenths of the pairs and its median is better than
+the parent's by more than the parent's IQR, and ``within_bound``: the
+change's median is worse than the parent's by no more than the metric's
+bound in BENCHMARK.json, a share of the parent's median.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -68,36 +72,44 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per seed and metric: each side's quartiles, the pairs the change won
-    and the gain rule's verdict (see the module docstring)."""
-    summary = {}
-    for seed in sorted({r["seed"] for r in runs}):
-        at_seed = [r for r in runs if r["seed"] == seed]
-        pairs = sorted({r["pair"] for r in at_seed})
-        per_metric = {}
-        for metric, better in directions.items():
-            value = {(r["pair"], r["side"]): r["result"]["metrics"][metric]["value"]
-                     for r in at_seed if metric in r["result"]["metrics"]}
-            if not value:
-                continue
-            wins = sum(
-                (value[(p, "change")] < value[(p, "parent")]) == (better == "lower")
-                and value[(p, "change")] != value[(p, "parent")]
-                for p in pairs
-            )
-            sides = {side: quartiles([value[(p, side)] for p in pairs]) for side in SIDES}
-            parent, change = sides["parent"]["median"], sides["change"]["median"]
-            parent_iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
-            gain = parent - change if better == "lower" else change - parent
-            per_metric[metric] = {
-                **sides,
-                "change_better_pairs": wins,
-                "parent_iqr": parent_iqr,
-                "median_change": (change - parent) / parent if parent else None,
-                "better_by_rule": 10 * wins >= 9 * len(pairs) and gain > parent_iqr,
-            }
-        summary[str(seed)] = {"pairs": len(pairs), "metrics": per_metric}
+def compare_sides(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric over the pairs of ``runs``: each side's quartiles, the
+    pairs the change won, the gain rule's verdict and whether the change
+    stays within the metric's bound (see the module docstring)."""
+    pairs = sorted({r["pair"] for r in runs})
+    per_metric = {}
+    for metric, spec in metrics.items():
+        value = {(r["pair"], r["side"]): r["result"]["metrics"][metric]["value"]
+                 for r in runs if metric in r["result"]["metrics"]}
+        if not value:
+            continue
+        lower = spec["better"] == "lower"
+        wins = sum(
+            (value[(p, "change")] < value[(p, "parent")]) == lower
+            and value[(p, "change")] != value[(p, "parent")]
+            for p in pairs
+        )
+        sides = {side: quartiles([value[(p, side)] for p in pairs]) for side in SIDES}
+        parent, change = sides["parent"]["median"], sides["change"]["median"]
+        parent_iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+        gain = parent - change if lower else change - parent
+        per_metric[metric] = {
+            **sides,
+            "change_better_pairs": wins,
+            "parent_iqr": parent_iqr,
+            "median_change": (change - parent) / parent if parent else None,
+            "better_by_rule": 10 * wins >= 9 * len(pairs) and gain > parent_iqr,
+            "within_bound": -gain <= spec["bound"] * abs(parent),
+        }
+    return {"pairs": len(pairs), "metrics": per_metric}
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """:func:`compare_sides` of each seed's pairs, and of all pairs under
+    ``"all"``."""
+    summary = {str(seed): compare_sides([r for r in runs if r["seed"] == seed], metrics)
+               for seed in sorted({r["seed"] for r in runs})}
+    summary["all"] = compare_sides(runs, metrics)
     return summary
 
 
@@ -113,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     # a mislabelled checkout is refused before any run is spent on it
     trees = {side: src_tree(path) for side, path in checkouts.items()}
 
@@ -125,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             runs.append({"pair": pair, "side": side, "order": position, "seed": seed,
                          "result": result, "check_failed": problems})
             values = " ".join(f"{metric} {result['metrics'].get(metric, {}).get('value')}"
-                              for metric in directions)
+                              for metric in metrics)
             print(f"pair {pair} seed {seed} {side}: {values} correct {result['correct']}",
                   flush=True)
 
@@ -135,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": "perfbench/run.py --workload W --seed S --seconds T, untraced",
         "src_tree": trees,
         "runs": runs,
-        "summary": summarize(runs, directions),
+        "summary": summarize(runs, metrics),
     }
     out = args.out or Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field, fields
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -260,6 +260,53 @@ class Manifest:
 VALUE_FIELDS = ("time_ms", "metric_value", "seq_length", "conc_length")
 
 
+class _CellArrays(dict):
+    """A table's solved column and value columns as read-only arrays, each
+    with one trailing unsolved entry, each made the first time it is read;
+    a value column's floats are NaN where absent or unsolved.  It holds the
+    table's columns, not the table, so the grids that share it keep no
+    reference to the table."""
+
+    def __init__(self, columns: dict[str, Sequence]):
+        super().__init__()
+        self.columns = columns
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if name == "solved":
+            array = np.array([*self.columns["solved"], False], dtype=bool)
+        else:
+            array = np.array([*self.columns[name], None], dtype=float)
+            array[~self["solved"]] = math.nan
+        array.flags.writeable = False
+        self[name] = array
+        return array
+
+
+class _GridValues(Mapping[str, np.ndarray]):
+    """A grid's value fields by name, each indexed into the grid's cells
+    from the table's arrays the first time it is read, and kept read-only."""
+
+    def __init__(self, arrays: _CellArrays, index: np.ndarray):
+        self._arrays = arrays
+        self._index = index
+        self._laid_out: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        values = self._laid_out.get(name)
+        if values is None:
+            if name not in VALUE_FIELDS:
+                raise KeyError(name)
+            values = self._laid_out[name] = self._arrays[name][self._index]
+            values.flags.writeable = False
+        return values
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(VALUE_FIELDS)
+
+    def __len__(self) -> int:
+        return len(VALUE_FIELDS)
+
+
 @dataclass(frozen=True, eq=False)
 class RunGrid:
     """The records at one (level, size class) as planner × problem arrays.
@@ -271,8 +318,10 @@ class RunGrid:
     planner with a record at the level.  ``index`` holds the table row of
     each cell's record, -1 where there is none, and ``values`` each value
     field as floats, NaN where the cell has no record, is unsolved or
-    lacks the field.  Every analysis that reads the table shares the grid,
-    so its arrays are read-only.
+    lacks the field.  A value field is converted and laid out the first
+    time an analysis reads it, so a command that reads only solve times
+    converts no other field.  Every analysis that reads the table shares
+    the grid, so its arrays are read-only.
     """
 
     level: Level
@@ -285,7 +334,7 @@ class RunGrid:
     index: np.ndarray
     present: np.ndarray
     solved: np.ndarray
-    values: dict[str, np.ndarray]
+    values: Mapping[str, np.ndarray]
 
     def span(self, domain: str) -> slice:
         """The columns of ``domain``'s problem set.
@@ -313,6 +362,9 @@ class RunTable(Sequence[RunRecord]):
     The analyses read records through :meth:`grid`, which lays out one
     (level, size class) the first time an analysis asks for it and keeps
     it for the manifest it was laid out by; validation lays out none.
+    A value column is converted to floats once, the first time an analysis
+    reads its field in any grid, and a grid indexes it into its cells on
+    its own first read of the field.
     Each record is numbered by its planner when the table is built
     (``planner_ids``, a position in ``planner_names``) and placed once per
     manifest (:meth:`codes`); a grid selects its cells and rows from those
@@ -333,7 +385,7 @@ class RunTable(Sequence[RunRecord]):
                                        count=len(planner))
         # the cell arrays and, for one manifest, the records' codes and the
         # grids, made on first use
-        self._arrays: dict[str, np.ndarray] | None = None
+        self._arrays = _CellArrays(self.columns)
         self._manifest: Manifest | None = None
         self._codes: np.ndarray | None = None
         self._grids: dict[tuple[Level, SizeClass], RunGrid] = {}
@@ -405,7 +457,6 @@ class RunTable(Sequence[RunRecord]):
         maximize = [s.quality_direction is QualityDirection.MAXIMIZE
                     for s in manifest._column_sets[start:stop]]
         # index -1 reads the arrays' trailing entry: unsolved, no values
-        arrays = self._cell_arrays()
         grid = RunGrid(
             level=level,
             size_class=size_class,
@@ -415,25 +466,12 @@ class RunTable(Sequence[RunRecord]):
             maximize=np.array(maximize, dtype=bool),
             index=index,
             present=index >= 0,
-            solved=arrays["solved"][index],
-            values={name: arrays[name][index] for name in VALUE_FIELDS},
+            solved=self._arrays["solved"][index],
+            values=_GridValues(self._arrays, index),
         )
-        for array in (grid.maximize, grid.index, grid.present, grid.solved,
-                      *grid.values.values()):
+        for array in (grid.maximize, grid.index, grid.present, grid.solved):
             array.flags.writeable = False
         return grid
-
-    def _cell_arrays(self) -> dict[str, np.ndarray]:
-        """The solved column and the value columns as arrays (values NaN where
-        absent or unsolved), each with one trailing unsolved entry."""
-        if self._arrays is None:
-            solved = np.array([*self.columns["solved"], False], dtype=bool)
-            self._arrays = {"solved": solved}
-            for name in VALUE_FIELDS:
-                values = np.array([*self.columns[name], None], dtype=float)
-                values[~solved] = math.nan
-                self._arrays[name] = values
-        return self._arrays
 
 
 class _Broken(Exception):

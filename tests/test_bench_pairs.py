@@ -1,7 +1,8 @@
 """scripts/bench_pairs.py names the program it measured by git's hash of the
 committed src/ tree, so it refuses a checkout whose src/ differs from it,
 prints every end-to-end metric of each run as the runs go, and applies the
-gain rule to each metric's pairs."""
+gain rule and the no-regression bound to each metric's pairs, per seed and
+over all pairs."""
 
 import importlib.util
 import json
@@ -67,9 +68,9 @@ def test_checkout_without_git_has_no_tree(tmp_path, monkeypatch):
 
 def test_progress_line_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    benchmark = {"end_to_end": [{"name": "pipeline_s", "better": "lower"},
-                                {"name": "setup_s", "better": "lower"},
-                                {"name": "ok_share", "better": "higher"}]}
+    benchmark = {"end_to_end": [{"name": "pipeline_s", "better": "lower", "bound": 0.25},
+                                {"name": "setup_s", "better": "lower", "bound": 0.25},
+                                {"name": "ok_share", "better": "higher", "bound": 0.01}]}
     checkouts = {side: tmp_path / side for side in ("parent", "change")}
     for checkout in checkouts.values():
         checkout.mkdir()
@@ -96,12 +97,13 @@ def test_progress_line_prints_every_end_to_end_metric(tmp_path, monkeypatch, cap
     assert summary["setup_s"]["change_better_pairs"] == 1
 
 
-def run_pairs(tmp_path, monkeypatch, pipeline_s):
+def run_pairs(tmp_path, monkeypatch, pipeline_s, seeds=None, ok_share=None):
     """Summary of stubbed pairs whose pipeline_s are ``pipeline_s[side]``,
-    one value per pair."""
+    one value per pair, at ``seeds`` (default all 1); ``ok_share`` likewise,
+    default 1.0."""
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    benchmark = {"end_to_end": [{"name": "pipeline_s", "better": "lower"},
-                                {"name": "ok_share", "better": "higher"}]}
+    benchmark = {"end_to_end": [{"name": "pipeline_s", "better": "lower", "bound": 0.25},
+                                {"name": "ok_share", "better": "higher", "bound": 0.01}]}
     checkouts = {side: tmp_path / side for side in ("parent", "change")}
     for checkout in checkouts.values():
         checkout.mkdir()
@@ -111,26 +113,28 @@ def run_pairs(tmp_path, monkeypatch, pipeline_s):
 
     def run_once(checkout, workload, seed, seconds):
         side = "change" if checkout == checkouts["change"] else "parent"
-        value = pipeline_s[side][calls[side]]
+        k = calls[side]
         calls[side] += 1
-        metrics = {"pipeline_s": value, "ok_share": 1.0}
+        metrics = {"pipeline_s": pipeline_s[side][k],
+                   "ok_share": ok_share[side][k] if ok_share else 1.0}
         return {"correct": True,
                 "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}, []
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
-    seeds = ["1"] * len(pipeline_s["parent"])
+    seeds = [str(seed) for seed in seeds or [1] * len(pipeline_s["parent"])]
     assert bench_pairs.main(["--parent", str(checkouts["parent"]),
                              "--change", str(checkouts["change"]), "--workload", "w",
                              "--seconds", "1", "--seeds", *seeds, "--out", str(out)]) == 0
-    return json.loads(out.read_text())["summary"]["1"]["metrics"]
+    return json.loads(out.read_text())["summary"]
 
 
 def test_gain_rule_met(tmp_path, monkeypatch):
     parent = [0.030, 0.031, 0.030, 0.032, 0.031, 0.030, 0.031, 0.030, 0.031, 0.026]
     # better in 9 of 10 pairs, by far more than the parent's IQR
     change = [0.028, 0.029, 0.028, 0.029, 0.028, 0.028, 0.029, 0.028, 0.029, 0.027]
-    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})
+    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})["1"]
+    summary = summary["metrics"]
     pipeline = summary["pipeline_s"]
     assert pipeline["change_better_pairs"] == 9
     assert pipeline["parent_iqr"] == pytest.approx(0.001)
@@ -146,7 +150,42 @@ def test_gain_rule_falls_short_of_the_iqr(tmp_path, monkeypatch):
     parent = [0.030, 0.036, 0.030, 0.036, 0.031, 0.035, 0.031, 0.035, 0.033, 0.033]
     # better in every pair, but the medians differ by less than the parent's IQR
     change = [value - 0.0005 for value in parent]
-    pipeline = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})["pipeline_s"]
+    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})
+    pipeline = summary["1"]["metrics"]["pipeline_s"]
     assert pipeline["change_better_pairs"] == 10
     assert pipeline["parent_iqr"] > 0.0005
     assert pipeline["better_by_rule"] is False
+
+
+def test_gain_rule_pooled_over_every_seed(tmp_path, monkeypatch):
+    # seed 1 meets the rule in 9 of 10 pairs; seed 7 loses one of three, so
+    # all pairs together are won 11 of 13 times, short of nine tenths
+    parent = [0.030, 0.031, 0.030, 0.032, 0.031, 0.030, 0.031, 0.030, 0.031, 0.026,
+              0.030, 0.030, 0.030]
+    change = [0.028, 0.029, 0.028, 0.029, 0.028, 0.028, 0.029, 0.028, 0.029, 0.027,
+              0.028, 0.028, 0.031]
+    seeds = [1] * 10 + [7] * 3
+    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change}, seeds)
+    assert list(summary) == ["1", "7", "all"]
+    assert summary["1"]["metrics"]["pipeline_s"]["better_by_rule"] is True
+    pooled = summary["all"]
+    assert pooled["pairs"] == 13
+    assert pooled["metrics"]["pipeline_s"]["change_better_pairs"] == 11
+    assert pooled["metrics"]["pipeline_s"]["parent"]["median"] == 0.030
+    assert pooled["metrics"]["pipeline_s"]["better_by_rule"] is False
+
+
+@pytest.mark.parametrize("pipeline_change, ok_change, within", [
+    # the bounds are 25% of pipeline_s and 1% of ok_share, worse by direction
+    (0.037, 0.995, {"pipeline_s": True, "ok_share": True}),
+    (0.038, 0.985, {"pipeline_s": False, "ok_share": False}),
+    (0.010, 1.000, {"pipeline_s": True, "ok_share": True}),
+])
+def test_change_median_within_the_bound(tmp_path, monkeypatch, pipeline_change, ok_change,
+                                        within):
+    pipeline_s = {"parent": [0.030] * 3, "change": [pipeline_change] * 3}
+    ok_share = {"parent": [1.0] * 3, "change": [ok_change] * 3}
+    summary = run_pairs(tmp_path, monkeypatch, pipeline_s, ok_share=ok_share)
+    for scope in ("1", "all"):
+        metrics = summary[scope]["metrics"]
+        assert {name: metrics[name]["within_bound"] for name in within} == within

@@ -167,6 +167,24 @@ class TestGridLayOut:
             ("numeric", "small")]
 
 
+    def test_solve_time_commands_convert_only_solve_times(self, tmp_path, capsys):
+        """hardness, scaling and agreement read solve times alone, so the
+        session's table converts no other value field until compare reads
+        them."""
+        parser = cli.build_parser()
+        session = cli.open_session(parser.parse_args(["validate", *common(tmp_path)]))
+
+        def converted():
+            return set(session.runs._arrays) - {"solved"}
+
+        assert converted() == set()
+        for command in ("hardness", "scaling", "agreement"):
+            assert cli.run_command(session, parser.parse_args([command, *common(tmp_path)])) == 0
+            assert converted() == {"time_ms"}, command
+        assert cli.run_command(session, parser.parse_args(["compare", *common(tmp_path)])) == 0
+        assert converted() == set(dataio.VALUE_FIELDS)
+
+
 class TestPairBuilding:
     """compare and order test a cell's pairs in one pass; only magnitude
     builds a pair's values, once per pair."""

@@ -8,8 +8,10 @@ unsolved rows, mix maximize and minimize sets and use metric 0.0.
 """
 
 import csv
+import gc
 import io
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +30,7 @@ from planstats.dataio import (
     RunRecord,
     RunTable,
     SizeClass,
+    VALUE_FIELDS,
     parse_manifest,
     sizes_faced,
     validate_dataset,
@@ -277,14 +280,18 @@ def clean_datasets(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(datasets())
-def test_build_pairs_equals_per_key_scan(dataset):
+@given(datasets(), st.permutations(list(itertools.product(LEVELS, Measure))))
+def test_build_pairs_equals_per_key_scan(dataset, reads):
+    """Each value field is read first in a drawn grid, so one grid converts
+    it for the table and the other indexes the shared array."""
     runs, manifest = dataset
     table = RunTable.of(runs)
-    for a, b in itertools.permutations(PLANNERS, 2):
-        for level, size, measure, mode in itertools.product(LEVELS, SizeClass, Measure, PairingMode):
-            args = (manifest, a, b, level, measure, mode, size)
-            assert outcome(build_pairs, table, *args) == outcome(reference_pairs, runs, *args), args
+    for level, measure in reads:
+        for a, b in itertools.permutations(PLANNERS, 2):
+            for size, mode in itertools.product(SizeClass, PairingMode):
+                args = (manifest, a, b, level, measure, mode, size)
+                assert outcome(build_pairs, table, *args) == outcome(reference_pairs, runs,
+                                                                      *args), args
 
 
 @settings(max_examples=100, deadline=None)
@@ -370,9 +377,35 @@ def test_grid_arrays_are_read_only():
     grid = runs.grid(manifest, Level.STRIPS, SizeClass.SMALL)
     arrays = {"maximize": grid.maximize, "index": grid.index, "present": grid.present,
               "solved": grid.solved, **grid.values}
+    assert list(grid.values) == list(VALUE_FIELDS)
+    # the table's arrays the grid's values were indexed from
+    assert list(runs._arrays) == ["solved", *VALUE_FIELDS]
+    arrays.update({f"table {name}": array for name, array in runs._arrays.items()})
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array
+
+
+def test_table_and_its_grids_form_no_reference_cycle():
+    """A grid keeps the table's columns and cell arrays, never the table, so
+    a dropped table is freed at once, not when the cyclic collector runs,
+    and its grids stay readable."""
+    manifest = Manifest(planners=(), problem_sets=(
+        ProblemSet("d", Level.STRIPS, SizeClass.SMALL, QualityDirection.MINIMIZE, ("p1", "p2")),
+        ProblemSet("d", Level.STRIPS, SizeClass.LARGE, QualityDirection.MINIMIZE, ("L1",))))
+    runs = RunTable.of([RunRecord("a", "d", Level.STRIPS, "p2", True, 7, 1.5, 3, 2),
+                        RunRecord("a", "d", Level.STRIPS, "L1", True, 9, 2.5, 4, 1)])
+    small, large = (runs.grid(manifest, Level.STRIPS, size) for size in SizeClass)
+    assert [small.values[name][0, 1] for name in VALUE_FIELDS] == [7.0, 1.5, 3.0, 2.0]
+    assert [large.values[name][0, 0] for name in VALUE_FIELDS] == [9.0, 2.5, 4.0, 1.0]
+    table = weakref.ref(runs)
+    gc.disable()
+    try:
+        del runs
+        assert table() is None
+    finally:
+        gc.enable()
+    assert small.values["time_ms"][0, 1] == 7.0
 
 
 # each analysis that reads one problem set, asked for a domain with none;
