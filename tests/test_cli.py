@@ -166,7 +166,6 @@ class TestGridLayOut:
         assert self.lay_outs(monkeypatch, "compare", *argv, "--level", "numeric") == [
             ("numeric", "small")]
 
-
     def test_solve_time_commands_convert_only_solve_times(self, tmp_path, capsys):
         """hardness, scaling and agreement read solve times alone, so the
         session's table converts no other value field until compare reads
