@@ -7,7 +7,15 @@ at the default seed, once per category, on each dataset:
 - a grid made by ``perfbench/gridgen.py`` (loaded from its file, read-only)
   in the paper's shape: all six levels, fully-automated and hand-coded
   planners, large sets, and maximize sets beside minimize ones at every
-  level but strips, pinned in ``golden/grid_digests.json``.
+  level but strips, pinned in ``golden/grid_digests.json``;
+- ``data/sample/`` with ``crux`` entering strips only, pinned in
+  ``golden/crux_strips_digests.json``: the numeric pools have two planners
+  per problem and the level-independent pool mixes three and two;
+- ``data/sample/`` with ``bolt`` and ``crux`` entering strips only, pinned in
+  ``golden/bolt_crux_strips_digests.json``: each numeric problem has one
+  automated planner, whose draws consume no Philox word.
+
+The last two are the only pools whose problems differ in planner count.
 
 Every file the script writes must match, by name and SHA-256, the recorded
 digests.  A change that alters an output on purpose says so and records
@@ -34,8 +42,10 @@ GRIDGEN = ROOT / "perfbench" / "gridgen.py"
 SAMPLE = ROOT / "data" / "sample"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CATEGORIES = ("auto", "hand")
-DATASETS = ("sample", "grid")
 GRID_SEED = 1
+# sample-derived datasets: the planners that enter strips only
+STRIPS_ONLY = {"crux_strips": ("crux",), "bolt_crux_strips": ("bolt", "crux")}
+DATASETS = ("sample", "grid", *STRIPS_ONLY)
 
 
 def _load(name: str, path: Path):
@@ -56,10 +66,30 @@ def grid_shape(gridgen) -> dict:
             "small_sizes": [10, 11, 12], "large_size": 12, "maximize_every": 2}
 
 
+def strips_only_sample(planners: tuple[str, ...], work_dir: Path) -> tuple[Path, Path]:
+    """``data/sample/`` written into ``work_dir`` with ``planners`` entering
+    strips only, their records at other levels dropped."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    doc = json.loads((SAMPLE / "manifest.json").read_text(encoding="utf-8"))
+    for planner in doc["planners"]:
+        if planner["name"] in planners:
+            planner["levels"] = ["strips"]
+    manifest = work_dir / "manifest.json"
+    manifest.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    header, *rows = (SAMPLE / "runs.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [row for row in rows
+            if row.split(",")[0] not in planners or row.split(",")[2] == "strips"]
+    runs = work_dir / "runs.csv"
+    runs.write_text(header + "".join(kept), encoding="utf-8")
+    return runs, manifest
+
+
 def dataset_paths(dataset: str, work_dir: Path) -> tuple[Path, Path]:
-    """The runs CSV and manifest of a dataset; the grid is written into ``work_dir``."""
+    """The runs CSV and manifest of a dataset; a generated one is written into ``work_dir``."""
     if dataset == "sample":
         return SAMPLE / "runs.csv", SAMPLE / "manifest.json"
+    if dataset in STRIPS_ONLY:
+        return strips_only_sample(STRIPS_ONLY[dataset], work_dir)
     gridgen = _load("_gridgen_under_test", GRIDGEN)
     return gridgen.write_grid(GRID_SEED, work_dir, grid_shape(gridgen))
 
@@ -111,3 +141,9 @@ def test_full_analysis_matches_golden_digests(category, tmp_path):
 @pytest.mark.parametrize("category", CATEGORIES)
 def test_grid_analysis_matches_golden_digests(category, grid, tmp_path):
     _check("grid", *grid, category, tmp_path)
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+@pytest.mark.parametrize("dataset", STRIPS_ONLY)
+def test_mixed_planner_counts_match_golden_digests(dataset, category, tmp_path):
+    _check(dataset, *dataset_paths(dataset, tmp_path / "data"), category, tmp_path / "out")
