@@ -8,17 +8,21 @@ Each listed seed is one pair: ``perfbench/run.py --workload W --seed S
 --seconds T`` runs once in each checkout, one run at a time, and the side
 that runs first alternates from pair to pair so that a drift of the host's
 speed does not favour either side.  The output file holds every run (pair,
-side, order within the pair, seed, the run's printed result line and its
-``check failed`` lines) and a summary of every end-to-end metric, per seed
-and under ``"all"`` for every pair run, since the gain rule counts all
-pairs: each side's median and quartiles, the number of pairs in which the
-change was better, by the metric's direction in BENCHMARK.json, the
-parent's IQR, the relative change of the medians, ``better_by_rule``: the
-change won at least nine tenths of the pairs and its median is better than
-the parent's by more than the parent's IQR, and ``within_bound``: the
-change's median is worse than the parent's by no more than the metric's
-bound in BENCHMARK.json, a share of the parent's median.  Standard library
-only.
+side, order within the pair, seed, the run's printed result line, its
+``check failed`` lines, its ``outputs_sha256`` digest and ``same_outputs``:
+whether both runs of its pair printed the same digest) and a summary, per
+seed and under ``"all"`` for every pair run, since the gain rule counts all
+pairs.  The summary counts the pairs whose sides wrote different outputs
+(``outputs_differ_pairs``), which at a seed with no recorded digests is
+the only check that the change kept the parent's outputs, and gives for
+every end-to-end metric each side's median and quartiles, the number of
+pairs in which the change was better, by the metric's direction in
+BENCHMARK.json, the parent's IQR, the relative change of the medians,
+``better_by_rule``: the change won at least nine tenths of the pairs and
+its median is better than the parent's by more than the parent's IQR, and
+``within_bound``: the change's median is worse than the parent's by no
+more than the metric's bound in BENCHMARK.json, a share of the parent's
+median.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ def src_tree(checkout: Path) -> str | None:
     return done.stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[str]]:
-    """The result line perfbench/run.py prints last, parsed, and its check failures."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line perfbench/run.py prints last, parsed, its check
+    failures and its outputs' digest (None if it printed none)."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
@@ -61,7 +66,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
         raise SystemExit(f"bench_pairs: run in {checkout} failed ({done.returncode}):\n"
                          f"{done.stderr}")
     problems = [line for line in done.stderr.splitlines() if line.startswith("check failed")]
-    return json.loads(lines[-1]), problems
+    digest = next((line.split()[1] for line in lines if line.startswith("outputs_sha256: ")), None)
+    return {"result": json.loads(lines[-1]), "check_failed": problems, "outputs_sha256": digest}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -101,7 +107,8 @@ def compare_sides(runs: list[dict], metrics: dict[str, dict]) -> dict:
             "better_by_rule": 10 * wins >= 9 * len(pairs) and gain > parent_iqr,
             "within_bound": -gain <= spec["bound"] * abs(parent),
         }
-    return {"pairs": len(pairs), "metrics": per_metric}
+    differ = len({r["pair"] for r in runs if not r["same_outputs"]})
+    return {"pairs": len(pairs), "outputs_differ_pairs": differ, "metrics": per_metric}
 
 
 def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
@@ -133,13 +140,16 @@ def main(argv: list[str] | None = None) -> int:
     for pair, seed in enumerate(args.seeds):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            result, problems = run_once(checkouts[side], args.workload, seed, args.seconds)
-            runs.append({"pair": pair, "side": side, "order": position, "seed": seed,
-                         "result": result, "check_failed": problems})
+            run = run_once(checkouts[side], args.workload, seed, args.seconds)
+            runs.append({"pair": pair, "side": side, "order": position, "seed": seed, **run})
+            result = run["result"]
             values = " ".join(f"{metric} {result['metrics'].get(metric, {}).get('value')}"
                               for metric in metrics)
             print(f"pair {pair} seed {seed} {side}: {values} correct {result['correct']}",
                   flush=True)
+        first, second = (r["outputs_sha256"] for r in runs[-2:])
+        for r in runs[-2:]:
+            r["same_outputs"] = first is not None and first == second
 
     doc = {
         "workload": args.workload,

@@ -22,14 +22,13 @@ passed along inside the call and kept nowhere after it.
 Draw layout: a sample's 32-bit words go first to its m problem draws (none
 when the pool has one problem), then one word to each drawn problem's
 planner draw, in draw order, skipping the draws over a single planner,
-which consume no word.  So each planner draw's word is found by the
-running count of consuming draws before it.  When every problem of the
-pool has the same number k >= 2 of planners, as in every level-specific
-pool, no draw is skipped: the problem and planner draws are one product
-of a sample's first words with a row of multipliers (the problem count,
-then k), and a draw's timing is read at problem * k + planner of the
-pool's concatenated timings.  The word block is laid out word by word,
-so that one draw across a chunk of samples is a contiguous column.
+which consume no word.  So when some problem of the pool has a single
+planner, each planner draw's word is found by the running count of
+consuming draws before it; otherwise the planner draws read the m words
+after the problem words.  A pool's timings are one table, padded with NaN
+to its widest problem, and a draw's timing is read at problem * width +
+planner.  The word block is laid out word by word, so that one draw
+across a chunk of samples is a contiguous column.
 
 Rejections: numpy draws again when (u * n) mod 2**32 < (2**32 - n) mod n.
 The sampler compares every draw of a pool with one bound, the largest of
@@ -393,10 +392,9 @@ class _PoolDraws:
     The draws follow ``Generator.integers``: m problem draws, then one
     planner draw per drawn problem, each a Lemire reduction (u * n) >> 32 of
     one 32-bit word; a draw over a single value consumes no word (see the
-    module docstring for the layout).  When every problem has the same
-    number k >= 2 of planners, ``same_count`` is k and each draw is read
-    with the scalar k; otherwise it is 0 and the planner counts are looked
-    up per draw.
+    module docstring for the layout).  ``skips`` says whether some problem
+    has a single planner, the only case in which a planner draw's word is
+    not at a fixed place.
     """
 
     def __init__(self, per_problem: list[np.ndarray], m: int) -> None:
@@ -404,20 +402,18 @@ class _PoolDraws:
         self.m = m
         self.n_problems = len(per_problem)
         self.lens = np.array([len(t) for t in per_problem], dtype=np.uint64)
-        self.starts = np.concatenate(([0], np.cumsum(self.lens[:-1]))).astype(np.intp)
-        self.flat = np.concatenate(per_problem)
+        self.width = int(self.lens.max())
+        table = np.full((self.n_problems, self.width), np.nan)
+        for row, timings in zip(table, per_problem):
+            row[: len(timings)] = timings
+        self.table = table.ravel()
+        self.skips = bool((self.lens == 1).any())
         self.problem_words = m if self.n_problems > 1 else 0
         self.n_blocks = -(-(self.problem_words + m) // 8)
-        self.same_count = int(self.lens[0]) if self.lens.min() > 1 and (
-            self.lens == self.lens[0]).all() else 0
         # numpy rejects a word when (u * n) mod 2**32 < (2**32 - n) mod n; one
         # bound, the largest of the pool's thresholds, flags every rejection
         counts = np.append(self.lens, np.uint64(self.n_problems))
         self.bound = np.uint32(((np.uint64(1 << 32) - counts) % counts).max())
-        if self.same_count:
-            # each draw's count, the problem draws' first
-            self.multipliers = np.array(
-                [self.n_problems] * self.problem_words + [self.same_count] * m, dtype=np.uint64)
 
     def fill(self, words: np.ndarray, area: np.ndarray) -> np.ndarray:
         """Write each row's sample area into ``area``; return the rows that
@@ -428,29 +424,23 @@ class _PoolDraws:
         pool's largest threshold rather than its own.
         """
         m, first = self.m, self.problem_words
-        if self.same_count:
-            scaled = words[:, : first + m] * self.multipliers
-            flagged = scaled.astype(np.uint32) < self.bound
-            scaled >>= _SHIFT32
-            # the draws are below 2**32, so reading them as int64 is exact
-            draws = scaled.view(np.int64)
-            index = draws[:, first:]
-            if first:
-                draws[:, :first] *= self.same_count
-                index += draws[:, :first]
-            values = self.flat[index]
-        else:
-            scaled = words[:, :m] * np.uint64(self.n_problems)
-            problem_flagged = scaled.astype(np.uint32) < self.bound
-            drawn = (scaled >> _SHIFT32).view(np.int64)
-            n_planners = self.lens[drawn]
+        scaled = words[:, :m] * np.uint64(self.n_problems)
+        flagged = scaled.astype(np.uint32) < self.bound
+        # the draws are below 2**32, so reading them as int64 is exact
+        drawn = (scaled >> _SHIFT32).view(np.int64)
+        n_planners = self.lens[drawn]
+        if self.skips:
             # a draw's word follows the problem words and the consuming draws before it
             consumes = n_planners > 1
             position = np.cumsum(consumes, axis=1) - consumes
             scaled = np.take_along_axis(words, first + position, axis=1) * n_planners
-            flagged = problem_flagged | (scaled.astype(np.uint32) < self.bound)
-            planner = (scaled >> _SHIFT32).view(np.int64)
-            values = self.flat[self.starts[drawn] + planner]
+        else:
+            scaled = words[:, first : first + m] * n_planners
+        flagged |= scaled.astype(np.uint32) < self.bound
+        scaled >>= _SHIFT32
+        index = scaled.view(np.int64)
+        index += drawn * self.width
+        values = self.table[index]
         area[:] = 0.0
         for column in values.T:  # not np.sum: its pairwise order rounds differently
             area += column

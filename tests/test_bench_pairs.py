@@ -2,7 +2,8 @@
 committed src/ tree, so it refuses a checkout whose src/ differs from it,
 prints every end-to-end metric of each run as the runs go, and applies the
 gain rule and the no-regression bound to each metric's pairs, per seed and
-over all pairs."""
+over all pairs, and marks and counts the pairs whose sides wrote different
+outputs."""
 
 import importlib.util
 import json
@@ -80,8 +81,9 @@ def test_progress_line_prints_every_end_to_end_metric(tmp_path, monkeypatch, cap
     def run_once(checkout, workload, seed, seconds):
         setup = 0.004 if checkout == checkouts["change"] else 0.006
         metrics = {"pipeline_s": 0.03, "setup_s": setup, "ok_share": 1.0}
-        return {"correct": True,
-                "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}, []
+        return {"result": {"correct": True, "metrics": {k: {"value": v, "unit": ""}
+                                                        for k, v in metrics.items()}},
+                "check_failed": [], "outputs_sha256": "d"}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -97,10 +99,11 @@ def test_progress_line_prints_every_end_to_end_metric(tmp_path, monkeypatch, cap
     assert summary["setup_s"]["change_better_pairs"] == 1
 
 
-def run_pairs(tmp_path, monkeypatch, pipeline_s, seeds=None, ok_share=None):
-    """Summary of stubbed pairs whose pipeline_s are ``pipeline_s[side]``,
-    one value per pair, at ``seeds`` (default all 1); ``ok_share`` likewise,
-    default 1.0."""
+def run_pairs(tmp_path, monkeypatch, pipeline_s, seeds=None, ok_share=None, digests=None):
+    """The output file of stubbed pairs whose pipeline_s are
+    ``pipeline_s[side]``, one value per pair, at ``seeds`` (default all 1);
+    ``ok_share`` and ``digests`` (each run's outputs_sha256) likewise,
+    default 1.0 and one digest for every run."""
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     benchmark = {"end_to_end": [{"name": "pipeline_s", "better": "lower", "bound": 0.25},
                                 {"name": "ok_share", "better": "higher", "bound": 0.01}]}
@@ -117,8 +120,9 @@ def run_pairs(tmp_path, monkeypatch, pipeline_s, seeds=None, ok_share=None):
         calls[side] += 1
         metrics = {"pipeline_s": pipeline_s[side][k],
                    "ok_share": ok_share[side][k] if ok_share else 1.0}
-        return {"correct": True,
-                "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}, []
+        return {"result": {"correct": True, "metrics": {k: {"value": v, "unit": ""}
+                                                        for k, v in metrics.items()}},
+                "check_failed": [], "outputs_sha256": digests[side][k] if digests else "d"}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -126,14 +130,14 @@ def run_pairs(tmp_path, monkeypatch, pipeline_s, seeds=None, ok_share=None):
     assert bench_pairs.main(["--parent", str(checkouts["parent"]),
                              "--change", str(checkouts["change"]), "--workload", "w",
                              "--seconds", "1", "--seeds", *seeds, "--out", str(out)]) == 0
-    return json.loads(out.read_text())["summary"]
+    return json.loads(out.read_text())
 
 
 def test_gain_rule_met(tmp_path, monkeypatch):
     parent = [0.030, 0.031, 0.030, 0.032, 0.031, 0.030, 0.031, 0.030, 0.031, 0.026]
     # better in 9 of 10 pairs, by far more than the parent's IQR
     change = [0.028, 0.029, 0.028, 0.029, 0.028, 0.028, 0.029, 0.028, 0.029, 0.027]
-    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})["1"]
+    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})["summary"]["1"]
     summary = summary["metrics"]
     pipeline = summary["pipeline_s"]
     assert pipeline["change_better_pairs"] == 9
@@ -150,7 +154,7 @@ def test_gain_rule_falls_short_of_the_iqr(tmp_path, monkeypatch):
     parent = [0.030, 0.036, 0.030, 0.036, 0.031, 0.035, 0.031, 0.035, 0.033, 0.033]
     # better in every pair, but the medians differ by less than the parent's IQR
     change = [value - 0.0005 for value in parent]
-    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})
+    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})["summary"]
     pipeline = summary["1"]["metrics"]["pipeline_s"]
     assert pipeline["change_better_pairs"] == 10
     assert pipeline["parent_iqr"] > 0.0005
@@ -165,7 +169,8 @@ def test_gain_rule_pooled_over_every_seed(tmp_path, monkeypatch):
     change = [0.028, 0.029, 0.028, 0.029, 0.028, 0.028, 0.029, 0.028, 0.029, 0.027,
               0.028, 0.028, 0.031]
     seeds = [1] * 10 + [7] * 3
-    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change}, seeds)
+    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change},
+                        seeds)["summary"]
     assert list(summary) == ["1", "7", "all"]
     assert summary["1"]["metrics"]["pipeline_s"]["better_by_rule"] is True
     pooled = summary["all"]
@@ -185,7 +190,34 @@ def test_change_median_within_the_bound(tmp_path, monkeypatch, pipeline_change, 
                                         within):
     pipeline_s = {"parent": [0.030] * 3, "change": [pipeline_change] * 3}
     ok_share = {"parent": [1.0] * 3, "change": [ok_change] * 3}
-    summary = run_pairs(tmp_path, monkeypatch, pipeline_s, ok_share=ok_share)
+    summary = run_pairs(tmp_path, monkeypatch, pipeline_s, ok_share=ok_share)["summary"]
     for scope in ("1", "all"):
         metrics = summary[scope]["metrics"]
         assert {name: metrics[name]["within_bound"] for name in within} == within
+
+
+def test_pairs_whose_outputs_differ_are_marked_and_counted(tmp_path, monkeypatch):
+    # pair 0 (seed 1) writes the same outputs on both sides, pair 1 (seed 1)
+    # and pair 2 (seed 7) do not
+    pipeline_s = {"parent": [0.030] * 3, "change": [0.030] * 3}
+    digests = {"parent": ["aa", "bb", "cc"], "change": ["aa", "b2", "c2"]}
+    doc = run_pairs(tmp_path, monkeypatch, pipeline_s, seeds=[1, 1, 7], digests=digests)
+    assert [(r["pair"], r["side"], r["outputs_sha256"], r["same_outputs"])
+            for r in doc["runs"]] == [
+        (0, "parent", "aa", True), (0, "change", "aa", True),
+        (1, "change", "b2", False), (1, "parent", "bb", False),
+        (2, "parent", "cc", False), (2, "change", "c2", False),
+    ]
+    assert {scope: doc["summary"][scope]["outputs_differ_pairs"]
+            for scope in ("1", "7", "all")} == {"1": 1, "7": 1, "all": 2}
+
+
+def test_run_once_keeps_the_printed_outputs_digest(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('machine: {}')\n"
+        "print('outputs_sha256: 0a1b (no recorded digests for seed 3)')\n"
+        "print('{\"correct\": true, \"metrics\": {}}')\n")
+    run = load_script().run_once(tmp_path, "w", 3, 1.0)
+    assert run == {"result": {"correct": True, "metrics": {}}, "check_failed": [],
+                   "outputs_sha256": "0a1b"}

@@ -273,7 +273,7 @@ class TestSharedWordBlock:
         # every problem has two or more planners, in differing counts
         "all-consuming": [np.array([0.5, 6.0, 2.5]), np.array([3.0, 1e6 / 3]),
                           np.array([8.0, 4.5, 7.0, 0.125]), np.array([5.0, 9.5])],
-        # every problem has three planners: the draws use the scalar count
+        # every problem has three planners
         "same-count": [np.array([k + 0.5, 1e6 / (k + 3), 2.0 * k]) for k in range(5)],
     }
 
@@ -305,24 +305,32 @@ class TestSharedWordBlock:
     def test_no_pools(self):
         assert _sample_areas(0, [], 20, 10) == []
 
-    @pytest.mark.parametrize("counts, same_count", [
-        ([3, 3, 3, 3], 3),
-        ([3], 3),
-        ([2, 4, 2, 4], 0),
-        ([1, 1, 1], 0),
+    @pytest.mark.parametrize("counts, running", [
+        ([3, 3, 3, 3], False),
+        ([3], False),
+        ([2, 4, 2, 4], False),
+        ([1, 1, 1], True),
+        ([2, 1, 3], True),
     ])
-    def test_scalar_path_exactly_for_one_shared_count(self, counts, same_count):
+    def test_running_count_only_for_a_single_planner_problem(self, counts, running,
+                                                              monkeypatch):
+        # only a draw over a single planner skips a word, so only a pool with
+        # such a problem gathers its planner words by the running count
+        gathers, gather = [], np.take_along_axis
+
+        def take_along_axis(*args, **kwargs):
+            gathers.append(args)
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take_along_axis", take_along_axis)
         pool = [np.arange(n, dtype=float) + 10.0 * k for k, n in enumerate(counts)]
         draws = _PoolDraws(pool, 20)
-        assert draws.same_count == same_count
-        if same_count:
-            # the scalar path reads no per-problem table
-            draws.lens = draws.starts = None
-            words = _philox_words(4, np.arange(64, dtype=np.uint64), draws.n_blocks)
-            area = np.empty(64)
-            redo = set(draws.fill(words, area).tolist())
-            assert [a for i, a in enumerate(area.tolist()) if i not in redo] == [
-                _sample_area(i, 4, pool, 20) for i in range(64) if i not in redo]
+        words = _philox_words(4, np.arange(64, dtype=np.uint64), draws.n_blocks)
+        area = np.empty(64)
+        redo = set(draws.fill(words, area).tolist())
+        assert bool(gathers) == running
+        assert [a for i, a in enumerate(area.tolist()) if i not in redo] == [
+            _sample_area(i, 4, pool, 20) for i in range(64) if i not in redo]
 
 
 def lemire_reference(row: list[int], pool: list[np.ndarray], m: int) -> float | None:
@@ -375,7 +383,6 @@ class TestPoolBound:
         pool = [np.arange(n, dtype=float) * 1.5 + k for k, n in enumerate(counts)]
         m, n_problems = self.M, len(pool)
         draws = _PoolDraws(pool, m)
-        assert draws.same_count == (3 if set(counts) == {3} else 0)
         rows = np.random.default_rng(7).integers(0, 2**32, size=(200, 2 * m), dtype=np.uint64)
         # row 0 holds a draw below its own threshold (a rejection), row 1 one
         # between its own threshold and the pool's bound (numpy accepts it)
