@@ -15,11 +15,12 @@ at the default seed, once per category, on each dataset:
   ``golden/bolt_crux_strips_digests.json``: each numeric problem has one
   automated planner, whose draws consume no Philox word.
 
-The last two are the only pools whose problems differ in planner count.
+The last two are the only datasets with a pool whose problems differ in
+planner count.
 
 Every file the script writes must match, by name and SHA-256, the recorded
 digests.  A change that alters an output on purpose says so and records
-both files again, from the repository root::
+every file again, from the repository root::
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
     import test_golden; test_golden.regenerate()"
