@@ -137,8 +137,8 @@ def test_gain_rule_met(tmp_path, monkeypatch):
     parent = [0.030, 0.031, 0.030, 0.032, 0.031, 0.030, 0.031, 0.030, 0.031, 0.026]
     # better in 9 of 10 pairs, by far more than the parent's IQR
     change = [0.028, 0.029, 0.028, 0.029, 0.028, 0.028, 0.029, 0.028, 0.029, 0.027]
-    summary = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})["summary"]["1"]
-    summary = summary["metrics"]
+    doc = run_pairs(tmp_path, monkeypatch, {"parent": parent, "change": change})
+    summary = doc["summary"]["1"]["metrics"]
     pipeline = summary["pipeline_s"]
     assert pipeline["change_better_pairs"] == 9
     assert pipeline["parent_iqr"] == pytest.approx(0.001)
