@@ -312,8 +312,7 @@ class TestSharedWordBlock:
         ([1, 1, 1], True),
         ([2, 1, 3], True),
     ])
-    def test_running_count_only_for_a_single_planner_problem(self, counts, running,
-                                                              monkeypatch):
+    def test_running_count_for_single_planners(self, counts, running, monkeypatch):
         # only a draw over a single planner skips a word, so only a pool with
         # such a problem gathers its planner words by the running count
         gathers, gather = [], np.take_along_axis
